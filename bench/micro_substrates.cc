@@ -1,12 +1,12 @@
-// Microbenchmarks of the substrates (google-benchmark): concurrent hash
+// Microbenchmarks of the substrates (google-benchmark): descriptor
 // table, concurrent bitmap / CLOCK, latches, B+Tree, NVM log buffer, and
 // raw buffer manager fetch paths. These are not paper figures; they guard
 // against performance regressions in the building blocks.
 #include <benchmark/benchmark.h>
 
 #include "buffer/buffer_manager.h"
+#include "buffer/descriptor_table.h"
 #include "container/concurrent_bitmap.h"
-#include "container/concurrent_hash_table.h"
 #include "container/mpmc_queue.h"
 #include "index/btree.h"
 #include "storage/perf_model.h"
@@ -18,29 +18,20 @@
 namespace spitfire {
 namespace {
 
-void BM_HashTableInsert(benchmark::State& state) {
-  ConcurrentHashTable<uint64_t, uint64_t> table;
-  uint64_t k = state.thread_index() * 1'000'000'000ull;
-  for (auto _ : state) {
-    table.Insert(k++, k);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HashTableInsert)->Threads(1)->Threads(2);
-
-void BM_HashTableFind(benchmark::State& state) {
-  static ConcurrentHashTable<uint64_t, uint64_t> table;
-  if (state.thread_index() == 0) {
-    for (uint64_t i = 0; i < 100'000; ++i) table.Insert(i, i);
-  }
+void BM_DescriptorTableFind(benchmark::State& state) {
+  // Populated once, before any benchmark thread looks anything up.
+  static DescriptorTable* table = [] {
+    auto* t = new DescriptorTable(100'000);
+    for (page_id_t pid = 0; pid < 100'000; ++pid) (void)t->GetOrCreate(pid);
+    return t;
+  }();
   Xoshiro256 rng(state.thread_index() + 1);
-  uint64_t v;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Find(rng.NextUint64(100'000), &v));
+    benchmark::DoNotOptimize(table->Find(rng.NextUint64(100'000)));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashTableFind)->Threads(1)->Threads(2);
+BENCHMARK(BM_DescriptorTableFind)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_ConcurrentBitmapSet(benchmark::State& state) {
   static ConcurrentBitmap bm(1 << 20);

@@ -81,6 +81,7 @@ BufferShard::BufferShard(const BufferManagerOptions& options,
       ssd_(ctx.ssd),
       nvm_(ctx.nvm),
       dram_backing_(ctx.dram_backing),
+      descriptors_(ctx.ssd->capacity() / kPageSize),
       next_page_id_(ctx.next_page_id),
       io_(ctx.io) {
   SPITFIRE_CHECK(ssd_ != nullptr);
@@ -183,16 +184,6 @@ void BufferShard::PrepareShutdown() {
 
 BufferShard::~BufferShard() { PrepareShutdown(); }
 
-SharedPageDescriptor* BufferShard::GetOrCreateDescriptor(page_id_t pid) {
-  return mapping_table_.GetOrCreate(pid, [this, pid]() {
-    auto d = std::make_unique<SharedPageDescriptor>(pid);
-    SharedPageDescriptor* raw = d.get();
-    std::lock_guard<std::mutex> g(desc_mu_);
-    descriptors_.push_back(std::move(d));
-    return raw;
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Pinning (the latch-free hit path)
 // ---------------------------------------------------------------------------
@@ -291,23 +282,46 @@ int BufferShard::TryHitOnce(SharedPageDescriptor* d, AccessIntent intent,
   return 0;
 }
 
+SharedPageDescriptor* BufferShard::ResolveFetch(page_id_t pid, Status* st) {
+  if (pid >= next_page_id_->load(std::memory_order_relaxed)) {
+    *st = Status::InvalidArgument("fetch of unallocated page");
+    return nullptr;
+  }
+  SharedPageDescriptor* d = descriptors_.GetOrCreate(pid);
+  if (d == nullptr) *st = Status::InvalidArgument("page past SSD capacity");
+  return d;
+}
+
+void BufferShard::NoteChainAccess(page_id_t pid) {
+  if (pid >= ra_live_lo_.load(std::memory_order_relaxed) &&
+      pid < ra_next_pid_.load(std::memory_order_relaxed)) {
+    ra_consumed_.store(true, std::memory_order_relaxed);
+  }
+}
+
 Result<PageGuard> BufferShard::FetchPage(page_id_t pid,
                                            AccessIntent intent) {
-  if (pid >= next_page_id_->load(std::memory_order_relaxed)) {
-    return Status::InvalidArgument("fetch of unallocated page");
-  }
-  SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
+  Status resolve;
+  SharedPageDescriptor* d = ResolveFetch(pid, &resolve);
+  if (d == nullptr) return resolve;
   if (io_ == nullptr) return FetchPageSync(d, intent);
 
   // Blocking shim over the submission/completion split: submit a ticket,
   // drive completions until it fires, retry transient failures with a
   // bounded exponential backoff (the old code retried with a bare pause,
   // which under pool exhaustion just hammered the evictors it was
-  // waiting on).
+  // waiting on). The descriptor is resolved once, above; each round does
+  // SubmitFetch's per-submission bookkeeping and submits on it directly.
   FetchTicket t;
+  t.pid = pid;
+  t.intent = intent;
   uint64_t backoff_ns = kBackoffMinNanos;
   for (int round = 0; round < kFetchBusyRounds; ++round) {
-    const FetchSubmit s = SubmitFetch(pid, intent, &t);
+    if (intent == AccessIntent::kWrite) {
+      stats_.Add(BufferCounter::kWriteFetches);
+    }
+    NoteChainAccess(pid);
+    const FetchSubmit s = SubmitFetchOnDescriptor(d, intent, &t);
     if (s == FetchSubmit::kQueuedLeader) {
       // Blocking fidelity: the leader pays its miss latency on this core,
       // pumping completions (its own included) while it waits.
@@ -409,11 +423,12 @@ FetchSubmit BufferShard::SubmitFetch(page_id_t pid, AccessIntent intent,
   if (intent == AccessIntent::kWrite) {
     stats_.Add(BufferCounter::kWriteFetches);
   }
-  if (pid >= next_page_id_->load(std::memory_order_relaxed)) {
-    FinishTicket(t, Status::InvalidArgument("fetch of unallocated page"));
+  Status resolve;
+  SharedPageDescriptor* d = ResolveFetch(pid, &resolve);
+  if (d == nullptr) {
+    FinishTicket(t, std::move(resolve));
     return FetchSubmit::kCompleted;
   }
-  SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
   if (io_ == nullptr) {
     // No async engine: serve through the legacy synchronous path.
     Result<PageGuard> r = FetchPageSync(d, intent);
@@ -426,12 +441,7 @@ FetchSubmit BufferShard::SubmitFetch(page_id_t pid, AccessIntent intent,
     return FetchSubmit::kCompleted;
   }
 
-  // Read-ahead keepalive: two relaxed loads on the hot path; matches only
-  // inside the live range of the active prefetch chain.
-  if (pid >= ra_live_lo_.load(std::memory_order_relaxed) &&
-      pid < ra_next_pid_.load(std::memory_order_relaxed)) {
-    ra_consumed_.store(true, std::memory_order_relaxed);
-  }
+  NoteChainAccess(pid);
   return SubmitFetchOnDescriptor(d, intent, t);
 }
 
@@ -660,10 +670,8 @@ void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
 Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
                                              uint32_t page_type) {
   SPITFIRE_DCHECK(ShardOfPage(pid, num_shards_) == shard_index_);
-  if (SsdOffset(pid) + kPageSize > ssd_->capacity()) {
-    return Status::OutOfMemory("SSD device full");
-  }
-  SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
+  SharedPageDescriptor* d = descriptors_.GetOrCreate(pid);
+  if (d == nullptr) return Status::OutOfMemory("SSD device full");
   SpinLatchGuard gd(d->dram_latch);
   SpinLatchGuard gn(d->nvm_latch);
   if (dram_pool_ != nullptr) {
@@ -827,7 +835,9 @@ void BufferShard::MaybeScheduleReadAhead(page_id_t pid) {
 bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
   // Precondition: this thread owns read_ahead_inflight_; ownership passes
   // to the queued execution on success and is released here on failure.
-  const page_id_t horizon = next_page_id_->load(std::memory_order_relaxed);
+  const page_id_t horizon = std::min<page_id_t>(
+      next_page_id_->load(std::memory_order_relaxed),
+      descriptors_.max_pages());
   // Skip pages that are already resident (e.g. whole windows surviving
   // from the scan's previous pass over the database). Claiming them is
   // not just wasted transfer: the front HITS straight through a resident
@@ -838,7 +848,7 @@ bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
   // walks (bounded) when the stall it prevents would otherwise begin.
   size_t trim_budget = 4 * options_.io_scheduler.read_ahead_pages;
   while (start < horizon && OwnsPage(start)) {
-    SharedPageDescriptor* d = GetOrCreateDescriptor(start);
+    SharedPageDescriptor* d = descriptors_.GetOrCreate(start);
     if (!d->DramResident() && !d->NvmResident()) break;
     ++start;
     if (--trim_budget == 0) break;
@@ -948,7 +958,8 @@ void BufferShard::PrefetchExecute(std::shared_ptr<void> claim,
 
 void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
                                       uint64_t seq) {
-  SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
+  SharedPageDescriptor* d = descriptors_.GetOrCreate(pid);
+  if (d == nullptr) return;
   // Never contend with foreground work: TryLock only on the target, and at
   // most one (try-lock-based) eviction round per pool when no frame is
   // free — without it read-ahead would go dead the moment the pool warms
@@ -1730,15 +1741,15 @@ Status BufferShard::DrainIo() {
 }
 
 Status BufferShard::FlushPage(page_id_t pid) {
-  const Status st = FlushPageImpl(pid);
+  SharedPageDescriptor* d = descriptors_.Find(pid);
+  const Status st = d != nullptr ? FlushPageImpl(d) : Status::OK();
   const Status drained = DrainIo();
   SPITFIRE_RETURN_NOT_OK(st);
   return drained;
 }
 
-Status BufferShard::FlushPageImpl(page_id_t pid, size_t* skipped) {
-  SharedPageDescriptor* d = nullptr;
-  if (!mapping_table_.Find(pid, &d)) return Status::OK();  // never buffered
+Status BufferShard::FlushPageImpl(SharedPageDescriptor* d, size_t* skipped) {
+  const page_id_t pid = d->pid;
   SpinLatchGuard gd(d->dram_latch);
   SpinLatchGuard gn(d->nvm_latch);
   SpinLatchGuard gs(d->ssd_latch);
@@ -1839,15 +1850,8 @@ Status BufferShard::FlushPageImpl(page_id_t pid, size_t* skipped) {
 Status BufferShard::FlushAll(bool include_nvm, size_t* skipped) {
   Status result = Status::OK();
   if (include_nvm) {
-    // Collect first: FlushPage re-enters the mapping table, so it must not
-    // run under ForEach's shard latch.
-    std::vector<page_id_t> pids;
-    mapping_table_.ForEach(
-        [&](const page_id_t& pid, SharedPageDescriptor*&) {
-          pids.push_back(pid);
-        });
-    for (page_id_t pid : pids) {
-      Status st = FlushPageImpl(pid, skipped);
+    descriptors_.ForEach([&](SharedPageDescriptor* d) {
+      Status st = FlushPageImpl(d, skipped);
       // Drain per page rather than once per sweep: the I/O scheduler would
       // otherwise coalesce the whole batch into a handful of device ops,
       // and this path feeds checkpoints whose write accounting (and fault
@@ -1855,10 +1859,10 @@ Status BufferShard::FlushAll(bool include_nvm, size_t* skipped) {
       const Status drained = DrainIo();
       if (st.ok()) st = drained;
       if (!st.ok()) result = st;
-    }
+    });
     return result;
   }
-  mapping_table_.ForEach([&](const page_id_t& pid, SharedPageDescriptor*& d) {
+  descriptors_.ForEach([&](SharedPageDescriptor* d) {
     {
       // Background checkpointing (Section 5.2): only dirty DRAM pages are
       // pushed down; NVM-resident modifications are already persistent.
@@ -1882,7 +1886,7 @@ Status BufferShard::FlushAll(bool include_nvm, size_t* skipped) {
         }
         std::byte* ptr = dram_pool_->FramePtr(
             d->dram.frame.load(std::memory_order_relaxed));
-        const Status st = WriteToSsd(pid, ptr);
+        const Status st = WriteToSsd(d->pid, ptr);
         if (st.ok()) {
           if (nvm_resident) {
             const frame_id_t nf =
@@ -1935,7 +1939,8 @@ Status BufferShard::RecoverNvmResidentPages() {
   size_t recovered = 0;
   for (frame_id_t frame : all) {
     const page_id_t pid = nvm_pool_->PersistedOwner(frame);
-    bool valid = pid != kInvalidPageId;
+    // A pid past the SSD's capacity cannot have been allocated.
+    bool valid = pid < descriptors_.max_pages();
     if (valid) {
       PageView view(nvm_pool_->FramePtr(frame));
       valid = view.header()->IsValid() && view.header()->page_id == pid;
@@ -1954,7 +1959,7 @@ Status BufferShard::RecoverNvmResidentPages() {
           "persisted NVM page routes to a different shard; recover with "
           "the original num_shards");
     }
-    SharedPageDescriptor* d = GetOrCreateDescriptor(pid);
+    SharedPageDescriptor* d = descriptors_.GetOrCreate(pid);
     d->nvm.frame.store(frame, std::memory_order_relaxed);
     // NVM copies may be newer than their SSD counterparts; treat them as
     // dirty so they flow down before being dropped.
@@ -1972,14 +1977,12 @@ Status BufferShard::RecoverNvmResidentPages() {
 }
 
 void BufferShard::InclusivityCounts(size_t* both, size_t* either) const {
-  auto* self = const_cast<BufferShard*>(this);
-  self->mapping_table_.ForEach(
-      [&](const page_id_t&, SharedPageDescriptor*& d) {
-        const bool in_dram = d->DramResident();
-        const bool in_nvm = d->NvmResident();
-        if (in_dram && in_nvm) ++*both;
-        if (in_dram || in_nvm) ++*either;
-      });
+  descriptors_.ForEach([&](const SharedPageDescriptor* d) {
+    const bool in_dram = d->DramResident();
+    const bool in_nvm = d->NvmResident();
+    if (in_dram && in_nvm) ++*both;
+    if (in_dram || in_nvm) ++*either;
+  });
 }
 
 double BufferShard::InclusivityRatio() const {
@@ -1992,35 +1995,27 @@ double BufferShard::InclusivityRatio() const {
 
 size_t BufferShard::DramResidentPages() const {
   size_t n = 0;
-  auto* self = const_cast<BufferShard*>(this);
-  self->mapping_table_.ForEach(
-      [&](const page_id_t&, SharedPageDescriptor*& d) {
-        if (d->DramResident()) ++n;
-      });
+  descriptors_.ForEach([&](const SharedPageDescriptor* d) {
+    if (d->DramResident()) ++n;
+  });
   return n;
 }
 
 bool BufferShard::IsDramResident(page_id_t pid) const {
-  SharedPageDescriptor* d = nullptr;
-  auto* self = const_cast<BufferShard*>(this);
-  if (!self->mapping_table_.Find(pid, &d)) return false;
-  return d->DramResident();
+  const SharedPageDescriptor* d = descriptors_.Find(pid);
+  return d != nullptr && d->DramResident();
 }
 
 bool BufferShard::IsNvmResident(page_id_t pid) const {
-  SharedPageDescriptor* d = nullptr;
-  auto* self = const_cast<BufferShard*>(this);
-  if (!self->mapping_table_.Find(pid, &d)) return false;
-  return d->NvmResident();
+  const SharedPageDescriptor* d = descriptors_.Find(pid);
+  return d != nullptr && d->NvmResident();
 }
 
 size_t BufferShard::NvmResidentPages() const {
   size_t n = 0;
-  auto* self = const_cast<BufferShard*>(this);
-  self->mapping_table_.ForEach(
-      [&](const page_id_t&, SharedPageDescriptor*& d) {
-        if (d->NvmResident()) ++n;
-      });
+  descriptors_.ForEach([&](const SharedPageDescriptor* d) {
+    if (d->NvmResident()) ++n;
+  });
   return n;
 }
 

@@ -2,18 +2,17 @@
 #define SPITFIRE_BUFFER_BUFFER_SHARD_H_
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "buffer/background_writer.h"
 #include "buffer/buffer_pool.h"
+#include "buffer/descriptor_table.h"
 #include "buffer/migration_policy.h"
 #include "buffer/page.h"
 #include "buffer/page_descriptor.h"
 #include "buffer/stats.h"
 #include "common/status.h"
 #include "container/admission_queue.h"
-#include "container/concurrent_hash_table.h"
 #include "storage/device.h"
 #include "storage/io_scheduler.h"
 #include "storage/nvm_device.h"
@@ -236,8 +235,9 @@ enum class FetchSubmit : uint8_t {
 // (Section 5) — a complete engine for the slice of the page-id space that
 // hashes to it (ShardOfPage).
 //
-// A unified DRAM-resident mapping table maps page ids to shared page
-// descriptors holding per-tier latches and residency state (Figure 4).
+// A unified DRAM-resident mapping table (DescriptorTable, direct-indexed
+// by pid, latch-free) maps page ids to shared page descriptors holding
+// per-tier latches and residency state (Figure 4).
 // FetchPage serves pages from DRAM when possible, from NVM directly (the
 // CPU can operate on NVM in place), or from SSD, and migrates pages
 // between tiers according to the probabilistic policy <Dr, Dw, Nr, Nw>
@@ -396,7 +396,13 @@ class BufferShard {
     std::vector<std::atomic<SharedPageDescriptor*>> owners;
   };
 
-  SharedPageDescriptor* GetOrCreateDescriptor(page_id_t pid);
+  // Validates `pid` for a fetch and returns its descriptor (created on
+  // first use), or null with *st set when the page was never allocated or
+  // lies past the SSD's capacity.
+  SharedPageDescriptor* ResolveFetch(page_id_t pid, Status* st);
+  // Read-ahead keepalive: two relaxed loads on the hot path; marks the
+  // active prefetch chain consumed when `pid` is inside its live range.
+  void NoteChainAccess(page_id_t pid);
 
   // Latch-free pin helpers: return true with a pin taken if resident (one
   // CAS on the tier's packed state word; see TierState).
@@ -424,8 +430,9 @@ class BufferShard {
                                   AccessIntent intent);
 
   // Async miss-path internals. SubmitFetchOnDescriptor is SubmitFetch
-  // minus pid validation; LeadMiss kicks read-ahead and submits the
-  // device read for a descriptor this thread just marked kIoInflight;
+  // minus pid resolution and the per-submission bookkeeping (write-fetch
+  // counter, read-ahead keepalive); LeadMiss kicks read-ahead and submits
+  // the device read for a descriptor this thread just marked kIoInflight;
   // CompleteMiss is the continuation every miss read resolves through:
   // it installs the bytes, pins the new copy for every queued waiter and
   // fires their tickets — or re-dispatches them on transient failure.
@@ -502,7 +509,7 @@ class BufferShard {
   // FlushPage body without the I/O drain (FlushAll batches the drain).
   // `*skipped` (optional) is incremented when a dirty copy could not be
   // flushed because it was actively referenced.
-  Status FlushPageImpl(page_id_t pid, size_t* skipped = nullptr);
+  Status FlushPageImpl(SharedPageDescriptor* d, size_t* skipped = nullptr);
 
   // Loads the units covering [offset, offset+size) of a cache-line-grained
   // page from its NVM copy. Caller holds the dram latch.
@@ -533,9 +540,9 @@ class BufferShard {
   std::unique_ptr<AdmissionQueue> admission_queue_;
   MiniRegion mini_;
 
-  ConcurrentHashTable<page_id_t, SharedPageDescriptor*> mapping_table_;
-  std::mutex desc_mu_;
-  std::vector<std::unique_ptr<SharedPageDescriptor>> descriptors_;
+  // pid → descriptor map over this shard's slice of the page-id space,
+  // sized from the SSD (a pid past its capacity has no descriptor).
+  DescriptorTable descriptors_;
 
   // Global page-id allocator, owned by the facade (shared by all shards).
   std::atomic<page_id_t>* next_page_id_ = nullptr;

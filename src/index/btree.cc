@@ -4,8 +4,6 @@
 #include <cstring>
 #include <thread>
 
-#include "common/timer.h"
-
 namespace spitfire {
 
 namespace {
@@ -31,18 +29,6 @@ struct MetaPayload {
   uint32_t magic;
 };
 constexpr uint32_t kMetaMagic = 0x42545245;  // "BTRE"
-
-// The meta page is hot, but under an async miss storm FetchPage can return
-// Busy transiently (submission starved by races, or a retry budget hit).
-// Meta accessors retry with exponential backoff instead of treating Busy
-// as fatal; hard errors (corruption, I/O) still crash.
-constexpr int kMetaFetchRetries = 64;
-
-void MetaFetchBackoff(const Status& st, int attempt) {
-  SPITFIRE_CHECK(st.IsBusy());
-  SpinWaitNanos(std::min<uint64_t>(uint64_t{1'000} << std::min(attempt, 6),
-                                   uint64_t{64'000}));
-}
 
 class NodeView {
  public:
@@ -139,7 +125,7 @@ Result<BTree*> BTree::Create(BufferManager* bm) {
 
   MetaPayload mp{root.pid(), 1, kMetaMagic};
   SPITFIRE_RETURN_NOT_OK(meta.WriteAt(kPageHeaderSize, sizeof(mp), &mp));
-  return new BTree(bm, meta.pid());
+  return new BTree(bm, meta.pid(), root.pid(), 1);
 }
 
 Result<BTree*> BTree::Open(BufferManager* bm, page_id_t meta_pid) {
@@ -149,52 +135,7 @@ Result<BTree*> BTree::Open(BufferManager* bm, page_id_t meta_pid) {
   SPITFIRE_RETURN_NOT_OK(
       meta_r.value().ReadAt(kPageHeaderSize, sizeof(mp), &mp));
   if (mp.magic != kMetaMagic) return Status::Corruption("not a btree meta");
-  return new BTree(bm, meta_pid);
-}
-
-page_id_t BTree::LoadRoot() const {
-  for (int attempt = 0; attempt < kMetaFetchRetries; ++attempt) {
-    auto meta_r = bm_->FetchPage(meta_pid_, AccessIntent::kRead);
-    if (meta_r.ok()) {
-      MetaPayload mp{};
-      SPITFIRE_CHECK(
-          meta_r.value().ReadAt(kPageHeaderSize, sizeof(mp), &mp).ok());
-      return mp.root;
-    }
-    MetaFetchBackoff(meta_r.status(), attempt);
-  }
-  // Callers' restart loops treat an invalid root as a failed fetch and
-  // retry, so exhaustion degrades to Busy instead of crashing.
-  return kInvalidPageId;
-}
-
-void BTree::StoreRoot(page_id_t root, uint32_t height) {
-  for (int attempt = 0;; ++attempt) {
-    auto meta_r = bm_->FetchPage(meta_pid_, AccessIntent::kWrite);
-    if (meta_r.ok()) {
-      MetaPayload mp{root, height, kMetaMagic};
-      SPITFIRE_CHECK(
-          meta_r.value().WriteAt(kPageHeaderSize, sizeof(mp), &mp).ok());
-      return;
-    }
-    // A root update cannot be dropped; keep retrying Busy forever (the
-    // meta page cannot stay in-flight indefinitely), crash on hard errors.
-    MetaFetchBackoff(meta_r.status(), attempt);
-  }
-}
-
-uint32_t BTree::height() const {
-  for (int attempt = 0; attempt < kMetaFetchRetries; ++attempt) {
-    auto meta_r = bm_->FetchPage(meta_pid_, AccessIntent::kRead);
-    if (meta_r.ok()) {
-      MetaPayload mp{};
-      SPITFIRE_CHECK(
-          meta_r.value().ReadAt(kPageHeaderSize, sizeof(mp), &mp).ok());
-      return mp.height;
-    }
-    MetaFetchBackoff(meta_r.status(), attempt);
-  }
-  return 0;
+  return new BTree(bm, meta_pid, mp.root, mp.height);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +156,7 @@ Status BTree::Lookup(uint64_t key, uint64_t* value,
     }
     PageGuard guard = g_r.MoveValue();
     uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry) continue;
+    if (version == OptimisticLatch::kRetry || LoadRoot() != pid) continue;
 
     bool failed = false;
     for (;;) {
@@ -299,7 +240,7 @@ Status BTree::InsertImpl(uint64_t key, uint64_t value, bool upsert,
 Status BTree::OptimisticInsert(uint64_t key, uint64_t value, bool upsert,
                                bool* need_split, FetchContext* ctx) {
   *need_split = false;
-  page_id_t pid = LoadRoot();
+  const page_id_t pid = LoadRoot();
   auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kWrite);
   if (!g_r.ok()) {
     if (g_r.status().IsWouldBlock()) return g_r.status();
@@ -307,7 +248,9 @@ Status BTree::OptimisticInsert(uint64_t key, uint64_t value, bool upsert,
   }
   PageGuard guard = g_r.MoveValue();
   uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-  if (version == OptimisticLatch::kRetry) return Status::Busy("locked");
+  if (version == OptimisticLatch::kRetry || LoadRoot() != pid) {
+    return Status::Busy("root changed");
+  }
 
   for (;;) {
     std::byte* raw = guard.RawData();
@@ -469,6 +412,20 @@ Status BTree::PessimisticInsert(uint64_t key, uint64_t value, bool upsert) {
     }
   }
 
+  // Releases the modified node at the end of the path. A root that split
+  // stays write-latched in old_root until root_ and the meta page name the
+  // new root: released earlier, a descent that loaded the old pid could
+  // validate against what is now only the left half.
+  Locked old_root{};
+  auto ReleaseModified = [&](bool split) {
+    if (split && meta_locked && path.size() == 1) {
+      old_root = std::move(path.back());
+    } else {
+      path.back().desc->version_latch.WriteUnlock();
+    }
+    path.pop_back();
+  };
+
   // Split loop: produce (separator, new right page) bubbling upward.
   uint64_t sep = 0;
   page_id_t right_pid = kInvalidPageId;
@@ -522,8 +479,7 @@ Status BTree::PessimisticInsert(uint64_t key, uint64_t value, bool upsert) {
       cur.hdr()->count = n + 1;
     }
   }
-  leaf_l.desc->version_latch.WriteUnlock();
-  path.pop_back();
+  ReleaseModified(have_split);
 
   // Propagate the separator into latched ancestors.
   while (have_split && !path.empty()) {
@@ -577,16 +533,16 @@ Status BTree::PessimisticInsert(uint64_t key, uint64_t value, bool upsert) {
 
     sep = up_key;
     right_pid = right_guard.pid();
-    parent_l.desc->version_latch.WriteUnlock();
-    path.pop_back();
+    ReleaseModified(/*split=*/true);
   }
 
   if (have_split) {
     // The root itself split: build a new root and install it in the meta
-    // page (which we still hold latched).
-    SPITFIRE_CHECK(meta_locked);
+    // page and root_ (both still latched: the meta page and the old root).
+    SPITFIRE_CHECK(meta_locked && old_root.desc != nullptr);
     auto root_r = bm_->NewPage(kNodePageType);
     if (!root_r.ok()) {
+      old_root.desc->version_latch.WriteUnlock();
       UnlockMeta(false);
       return root_r.status();
     }
@@ -600,6 +556,9 @@ Status BTree::PessimisticInsert(uint64_t key, uint64_t value, bool upsert) {
     MetaPayload nmp{new_root.pid(), mp.height + 1, kMetaMagic};
     std::byte* mraw = meta_guard.RawData(/*for_write=*/true);
     std::memcpy(mraw + kPageHeaderSize, &nmp, sizeof(nmp));
+    height_.store(nmp.height, std::memory_order_relaxed);
+    root_.store(new_root.pid(), std::memory_order_release);
+    old_root.desc->version_latch.WriteUnlock();
     UnlockMeta(true);
   } else {
     UnlockAll();
@@ -623,7 +582,7 @@ Status BTree::Remove(uint64_t key, FetchContext* ctx) {
     }
     PageGuard guard = g_r.MoveValue();
     uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry) continue;
+    if (version == OptimisticLatch::kRetry || LoadRoot() != pid) continue;
 
     bool failed = false;
     for (;;) {
@@ -701,7 +660,7 @@ Status BTree::Scan(uint64_t lo, uint64_t hi,
     }
     PageGuard guard = g_r.MoveValue();
     uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry) continue;
+    if (version == OptimisticLatch::kRetry || LoadRoot() != pid) continue;
     bool failed = false;
     for (;;) {
       std::byte* raw = guard.RawData();

@@ -1,6 +1,7 @@
 #ifndef SPITFIRE_INDEX_BTREE_H_
 #define SPITFIRE_INDEX_BTREE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -26,6 +27,11 @@ namespace spitfire {
 //  - Deletes remove keys from leaves without rebalancing (standard
 //    practice in many production trees; space is reclaimed by later
 //    inserts).
+//  - The root pid is cached in memory (root_), so a descent starts with
+//    one atomic load instead of a meta-page fetch; the meta page is the
+//    durable copy. A root split installs the new root in both while it
+//    still holds the old root write-latched, and every descent re-checks
+//    root_ after sampling the root's version.
 //
 // Node pages are pinned (via PageGuard) for the duration of each node
 // visit, which keeps frames stable; versions detect logical interference.
@@ -52,8 +58,7 @@ class BTree {
   // re-runs the whole call once the context fires, and the restart
   // re-traverses from the root (OLC restarts are cheap; the parked page is
   // by then resident). Without a context every fetch blocks (legacy path).
-  // Exceptions that always block: meta-page accesses (root pointer — hot,
-  // pinned-through in steady state) and the pessimistic split path (it
+  // The exception that always blocks is the pessimistic split path (it
   // holds write latches across fetches, so parking would deadlock).
 
   // Inserts (key, value). Returns InvalidArgument if the key exists.
@@ -75,13 +80,14 @@ class BTree {
 
   // Number of entries (full scan; for tests).
   Result<uint64_t> Count() const;
-  uint32_t height() const;
+  uint32_t height() const { return height_.load(std::memory_order_relaxed); }
 
  private:
   struct NodeRef;
 
-  explicit BTree(BufferManager* bm, page_id_t meta_pid)
-      : bm_(bm), meta_pid_(meta_pid) {}
+  BTree(BufferManager* bm, page_id_t meta_pid, page_id_t root,
+        uint32_t height)
+      : bm_(bm), meta_pid_(meta_pid), root_(root), height_(height) {}
 
   Status InsertImpl(uint64_t key, uint64_t value, bool upsert,
                     FetchContext* ctx);
@@ -89,11 +95,18 @@ class BTree {
                           bool* need_split, FetchContext* ctx);
   Status PessimisticInsert(uint64_t key, uint64_t value, bool upsert);
 
-  page_id_t LoadRoot() const;
-  void StoreRoot(page_id_t root, uint32_t height);
+  page_id_t LoadRoot() const {
+    return root_.load(std::memory_order_acquire);
+  }
 
   BufferManager* bm_;
   page_id_t meta_pid_;
+  // In-memory copies of the root pid and height; the meta page is their
+  // durable copy. All change only at a root split, under the meta page's
+  // write latch. The cache is per object, so one BTree object owns a tree
+  // at a time.
+  std::atomic<page_id_t> root_;
+  std::atomic<uint32_t> height_;
 };
 
 }  // namespace spitfire

@@ -257,5 +257,112 @@ TEST_F(BTreeTest, MixedConcurrentUpserts) {
   EXPECT_LE(count.value(), 512u);
 }
 
+// Readers look up a fixed set of pre-inserted keys while a writer grows the
+// tree through root splits. A descent that loaded the root pid just before
+// a split must never settle on the old root, which by then holds only the
+// left half of the keys: every lookup has to succeed.
+class BTreeRootSplitTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kStride = 1024;
+  static constexpr uint64_t kFixed = 500;
+  static constexpr int kReaders = 3;
+
+  void SetUp() override {
+    LatencySimulator::SetScale(0.0);
+    ssd_ = std::make_unique<SsdDevice>(64ull * 1024 * 1024);
+    BufferManagerOptions opt;
+    opt.dram_frames = 2048;  // a height-3 tree stays resident
+    opt.policy = MigrationPolicy::Eager();
+    opt.ssd = ssd_.get();
+    bm_ = std::make_unique<BufferManager>(opt);
+  }
+  void TearDown() override { LatencySimulator::SetScale(1.0); }
+
+  // A fresh tree holding the fixed keys (i * kStride -> i * kStride + 7).
+  std::unique_ptr<BTree> NewTree() {
+    auto r = BTree::Create(bm_.get());
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::unique_ptr<BTree> tree(r.value());
+    for (uint64_t i = 0; i < kFixed; ++i) {
+      EXPECT_TRUE(tree->Insert(i * kStride, i * kStride + 7).ok());
+    }
+    EXPECT_EQ(tree->height(), 1u);
+    return tree;
+  }
+
+  // The writer's key sequence: ascending keys between the fixed ones, so
+  // every leaf split moves fixed keys into a new right sibling. Inserts
+  // from *k on, in batches of 1024, until the tree reaches `height` or *k
+  // reaches `until`. Returns the number of failed inserts.
+  static int Grow(BTree* tree, uint32_t height, uint64_t until,
+                  uint64_t* k) {
+    int errors = 0;
+    while (tree->height() < height && *k < until) {
+      for (int n = 0; n < 1024; ++*k) {
+        if (*k % kStride == 0) continue;
+        if (!tree->Insert(*k, *k).ok()) ++errors;
+        ++n;
+      }
+    }
+    return errors;
+  }
+
+  // Grows a fresh tree to `target_height`, with readers running from the
+  // writer's key `quiet_until` on, and returns the number of failed
+  // operations.
+  int GrowUnderReaders(uint32_t target_height, uint64_t quiet_until) {
+    std::unique_ptr<BTree> tree = NewTree();
+    uint64_t k = 1;
+    int errors = Grow(tree.get(), target_height, quiet_until, &k);
+    EXPECT_LT(tree->height(), target_height) << "quiet phase overshot";
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> started{0};
+    std::atomic<int> reader_errors{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        started.fetch_add(1);
+        for (uint64_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
+          const uint64_t key = (i % kFixed) * kStride;
+          uint64_t v = 0;
+          if (!tree->Lookup(key, &v).ok() || v != key + 7) {
+            reader_errors.fetch_add(1);
+          }
+        }
+      });
+    }
+    while (started.load() < kReaders) std::this_thread::yield();
+    errors += Grow(tree.get(), target_height, kKeyLimit, &k);
+    stop.store(true);
+    for (auto& th : readers) th.join();
+    EXPECT_GE(tree->height(), target_height);
+    return errors + reader_errors.load();
+  }
+
+  static constexpr uint64_t kKeyLimit = uint64_t{1} << 22;
+
+  std::unique_ptr<SsdDevice> ssd_;
+  std::unique_ptr<BufferManager> bm_;
+};
+
+TEST_F(BTreeRootSplitTest, LookupsSucceedAcrossRootSplits) {
+  // Many cheap 1 -> 2 root splits with readers throughout.
+  for (int round = 0; round < 16; ++round) {
+    ASSERT_EQ(GrowUnderReaders(2, /*quiet_until=*/0), 0) << "round " << round;
+  }
+  // One 2 -> 3 root split. Growing to it takes ~500k inserts, so find
+  // where it happens on a quiet tree first (the key sequence is fixed),
+  // then replay with readers over only the last ~20 leaf splits before it.
+  uint64_t split_at = 1;
+  {
+    std::unique_ptr<BTree> probe = NewTree();
+    ASSERT_EQ(Grow(probe.get(), 3, kKeyLimit, &split_at), 0);
+    ASSERT_EQ(probe->height(), 3u);
+  }
+  const uint64_t quiet = split_at > 16 * 1024 ? split_at - 16 * 1024 : 0;
+  ASSERT_EQ(GrowUnderReaders(3, quiet), 0);
+}
+
 }  // namespace
 }  // namespace spitfire

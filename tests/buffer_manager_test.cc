@@ -75,6 +75,47 @@ TEST_F(BufferManagerTest, FetchUnallocatedPageFails) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(BufferManagerTest, AllocationPastSsdCapacityFailsCleanly) {
+  // A 16-page SSD behind pools with room for more: allocation stops at the
+  // device's end instead of buffering pages that could never be written
+  // back.
+  constexpr page_id_t kSsdPages = 16;
+  ssd_ = std::make_unique<SsdDevice>(kSsdPages * kPageSize);
+  auto bm = Make(32, 32, MigrationPolicy::Eager());
+  std::vector<page_id_t> pids;
+  Status full;
+  for (int i = 0; i < 64 && full.ok(); ++i) {
+    auto r = bm->NewPage();
+    if (r.ok()) {
+      pids.push_back(r.value().pid());
+    } else {
+      full = r.status();
+    }
+  }
+  EXPECT_EQ(pids.size(), kSsdPages);
+  EXPECT_EQ(full.code(), StatusCode::kOutOfMemory);
+
+  // The failed allocation consumed a pid past the end. Fetching it is an
+  // error on both the blocking and the ticket path, not a crash.
+  ASSERT_GT(bm->next_page_id(), kSsdPages);
+  for (page_id_t pid = kSsdPages; pid < bm->next_page_id(); ++pid) {
+    auto r = bm->FetchPage(pid, AccessIntent::kRead);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    FetchTicket t;
+    EXPECT_EQ(bm->SubmitFetch(pid, AccessIntent::kWrite, &t),
+              FetchSubmit::kCompleted);
+    EXPECT_TRUE(t.ready.load());
+    EXPECT_EQ(t.status.code(), StatusCode::kInvalidArgument);
+  }
+
+  // Every page that was allocated still round-trips through the SSD.
+  ASSERT_TRUE(bm->FlushAll(true).ok());
+  for (page_id_t pid : pids) {
+    auto r = bm->FetchPage(pid, AccessIntent::kRead);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+}
+
 TEST_F(BufferManagerTest, DataSurvivesEvictionThroughAllTiers) {
   // 4 DRAM + 4 NVM frames, 64 pages: heavy eviction traffic.
   auto bm = Make(4, 4, MigrationPolicy::Eager());

@@ -4,74 +4,86 @@
 #include <thread>
 #include <vector>
 
+#include "buffer/descriptor_table.h"
 #include "container/admission_queue.h"
 #include "container/concurrent_bitmap.h"
-#include "container/concurrent_hash_table.h"
 #include "container/mpmc_queue.h"
 
 namespace spitfire {
 namespace {
 
-TEST(ConcurrentHashTableTest, InsertFindErase) {
-  ConcurrentHashTable<uint64_t, int> t;
-  EXPECT_TRUE(t.Insert(1, 10));
-  EXPECT_FALSE(t.Insert(1, 20));  // duplicate
-  int v = 0;
-  EXPECT_TRUE(t.Find(1, &v));
-  EXPECT_EQ(v, 10);
-  EXPECT_TRUE(t.Erase(1));
-  EXPECT_FALSE(t.Find(1, &v));
-  EXPECT_FALSE(t.Erase(1));
-}
-
-TEST(ConcurrentHashTableTest, GetOrCreateRunsFactoryOnce) {
-  ConcurrentHashTable<uint64_t, int> t;
-  int calls = 0;
-  EXPECT_EQ(t.GetOrCreate(5, [&] { return ++calls; }), 1);
-  EXPECT_EQ(t.GetOrCreate(5, [&] { return ++calls; }), 1);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ConcurrentHashTableTest, SizeAndForEach) {
-  ConcurrentHashTable<uint64_t, int> t;
-  for (uint64_t i = 0; i < 100; ++i) t.Insert(i, static_cast<int>(i));
-  EXPECT_EQ(t.Size(), 100u);
-  int sum = 0;
-  t.ForEach([&](const uint64_t&, int& v) { sum += v; });
-  EXPECT_EQ(sum, 4950);
-  t.Clear();
-  EXPECT_EQ(t.Size(), 0u);
-}
-
-TEST(ConcurrentHashTableTest, ConcurrentInsertsAreAllVisible) {
-  ConcurrentHashTable<uint64_t, uint64_t> t;
+TEST(DescriptorTableTest, ConcurrentGetOrCreateOneDescriptorPerPid) {
+  // Overlapping pid ranges that straddle several chunks, so threads race
+  // on both the chunk install and the slot install.
+  constexpr uint64_t kPages = 5 * DescriptorTable::kChunkSize;
   constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 5000;
+  constexpr uint64_t kSpan = 2 * DescriptorTable::kChunkSize + 17;
+  DescriptorTable t(kPages);
+  std::vector<std::vector<SharedPageDescriptor*>> seen(
+      kThreads, std::vector<SharedPageDescriptor*>(kPages, nullptr));
   std::vector<std::thread> ths;
   for (int i = 0; i < kThreads; ++i) {
-    ths.emplace_back([&t, i] {
-      for (uint64_t k = 0; k < kPerThread; ++k) {
-        t.Insert(static_cast<uint64_t>(i) * kPerThread + k, k);
+    ths.emplace_back([&t, &seen, i] {
+      const uint64_t lo = static_cast<uint64_t>(i) * (kPages - kSpan) /
+                          (kThreads - 1);
+      for (int round = 0; round < 3; ++round) {
+        for (uint64_t pid = lo; pid < lo + kSpan; ++pid) {
+          SharedPageDescriptor* d = t.GetOrCreate(pid);
+          ASSERT_NE(d, nullptr);
+          if (seen[i][pid] == nullptr) seen[i][pid] = d;
+          ASSERT_EQ(seen[i][pid], d);
+        }
       }
     });
   }
   for (auto& th : ths) th.join();
-  EXPECT_EQ(t.Size(), kThreads * kPerThread);
+
+  size_t created = 0;
+  for (uint64_t pid = 0; pid < kPages; ++pid) {
+    SharedPageDescriptor* d = t.Find(pid);
+    if (d != nullptr) {
+      ++created;
+      EXPECT_EQ(d->pid, pid);
+    }
+    for (int i = 0; i < kThreads; ++i) {
+      if (seen[i][pid] != nullptr) {
+        EXPECT_EQ(seen[i][pid], d) << pid;
+      }
+    }
+  }
+  size_t visited = 0;
+  t.ForEach([&](SharedPageDescriptor*) { ++visited; });
+  EXPECT_EQ(visited, created);
+  EXPECT_EQ(created, kPages);  // the ranges cover every pid
 }
 
-TEST(ConcurrentHashTableTest, ConcurrentGetOrCreateSingleWinner) {
-  ConcurrentHashTable<uint64_t, int> t;
-  std::atomic<int> counter{0};
-  std::vector<std::thread> ths;
-  for (int i = 0; i < 4; ++i) {
-    ths.emplace_back([&] {
-      for (int r = 0; r < 1000; ++r) {
-        (void)t.GetOrCreate(42, [&] { return counter.fetch_add(1) + 100; });
-      }
-    });
+TEST(DescriptorTableTest, ForEachVisitsEachCreatedDescriptorOnce) {
+  DescriptorTable t(4 * DescriptorTable::kChunkSize);
+  const std::vector<page_id_t> pids = {
+      0, 5, DescriptorTable::kChunkSize - 1, DescriptorTable::kChunkSize,
+      3 * DescriptorTable::kChunkSize + 9, 4 * DescriptorTable::kChunkSize - 1};
+  for (page_id_t pid : pids) {
+    ASSERT_NE(t.GetOrCreate(pid), nullptr);
+    ASSERT_EQ(t.GetOrCreate(pid), t.Find(pid));  // idempotent
   }
-  for (auto& th : ths) th.join();
-  EXPECT_EQ(counter.load(), 1);
+  std::vector<page_id_t> visited;
+  t.ForEach([&](SharedPageDescriptor* d) { visited.push_back(d->pid); });
+  EXPECT_EQ(visited, pids);  // once each, in pid order
+}
+
+TEST(DescriptorTableTest, FindOfUncreatedOrOutOfRangePidIsNull) {
+  // A partial last chunk: the range bound, not the chunk size, applies.
+  const uint64_t kPages = DescriptorTable::kChunkSize + 3;
+  DescriptorTable t(kPages);
+  EXPECT_EQ(t.Find(7), nullptr);
+  ASSERT_NE(t.GetOrCreate(7), nullptr);
+  EXPECT_EQ(t.Find(8), nullptr);  // same chunk, never created
+  EXPECT_EQ(t.Find(DescriptorTable::kChunkSize), nullptr);  // no chunk yet
+  EXPECT_EQ(t.Find(kPages), nullptr);
+  EXPECT_EQ(t.GetOrCreate(kPages), nullptr);
+  EXPECT_EQ(t.Find(kInvalidPageId), nullptr);
+  EXPECT_EQ(t.GetOrCreate(kInvalidPageId), nullptr);
+  EXPECT_NE(t.GetOrCreate(kPages - 1), nullptr);
 }
 
 TEST(ConcurrentBitmapTest, SetTestClear) {
