@@ -252,31 +252,24 @@ inline void WarmUp(BufferManager& bm, AccessGenerator& gen,
   LatencySimulator::SetScale(saved);
 }
 
-// Closed-loop measurement: returns buffer manager operations per second.
-inline double MeasureOps(BufferManager& bm, AccessGenerator& gen, int threads,
-                         double seconds) {
+// Closed-loop counter shared by every bench: `threads` workers call
+// `op(rng)` back to back until the window closes and count the calls that
+// return true. Returns counted ops per second. `op` is inlined into the
+// worker loop (no std::function, no per-op clock read), so hit-path
+// benches measure the engine, not the harness. Each worker's rng is
+// seeded from `seed` and its index.
+template <typename Op>
+double MeasureClosedLoop(int threads, double seconds, uint64_t seed,
+                         const Op& op) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> ops{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      Xoshiro256 rng(0xBE7C4 + static_cast<uint64_t>(t) * 977);
-      std::vector<std::byte> buf(kTupleBytes);
+      Xoshiro256 rng(seed + static_cast<uint64_t>(t) * 7919);
       uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto a = gen.Next(rng);
-        auto r = bm.FetchPage(a.page, a.is_write ? AccessIntent::kWrite
-                                                 : AccessIntent::kRead);
-        if (!r.ok()) continue;
-        if (a.is_write) {
-          if (r.value().WriteAt(a.offset, kTupleBytes, buf.data()).ok()) {
-            ++local;
-          }
-        } else {
-          if (r.value().ReadAt(a.offset, kTupleBytes, buf.data()).ok()) {
-            ++local;
-          }
-        }
+        if (op(rng)) ++local;
       }
       ops.fetch_add(local, std::memory_order_relaxed);
     });
@@ -287,6 +280,30 @@ inline double MeasureOps(BufferManager& bm, AccessGenerator& gen, int threads,
   const double elapsed = timer.ElapsedSeconds();
   for (auto& w : workers) w.join();
   return static_cast<double>(ops.load()) / elapsed;
+}
+
+// Tuple-grained buffer manager operations per second over `gen`.
+inline double MeasureOps(BufferManager& bm, AccessGenerator& gen, int threads,
+                         double seconds) {
+  return MeasureClosedLoop(threads, seconds, 0xBE7C4, [&](Xoshiro256& rng) {
+    const auto a = gen.Next(rng);
+    auto r = bm.FetchPage(a.page, a.is_write ? AccessIntent::kWrite
+                                             : AccessIntent::kRead);
+    if (!r.ok()) return false;
+    thread_local std::byte buf[kTupleBytes];
+    return (a.is_write ? r.value().WriteAt(a.offset, kTupleBytes, buf)
+                       : r.value().ReadAt(a.offset, kTupleBytes, buf))
+        .ok();
+  });
+}
+
+// Fetch-and-release of uniformly random pages in [0, num_pages): the
+// descriptor hot path with no tuple copy.
+inline double MeasureFetchOps(BufferManager& bm, uint64_t num_pages,
+                              int threads, double seconds, uint64_t seed) {
+  return MeasureClosedLoop(threads, seconds, seed, [&](Xoshiro256& rng) {
+    return bm.FetchPage(rng.NextUint64(num_pages), AccessIntent::kRead).ok();
+  });
 }
 
 // Convenience: build, populate, warm, and measure one configuration.
@@ -361,10 +378,16 @@ class JsonLine {
   JsonLine& Num(const char* key, int v) {
     return Num(key, static_cast<uint64_t>(v));
   }
-  // Pre-rendered JSON value (e.g. an array of slice throughputs).
-  JsonLine& Raw(const char* key, const std::string& v) {
+  // Array of whole numbers (e.g. throughput-over-time slices).
+  JsonLine& Array(const char* key, const std::vector<double>& v) {
     Key(key);
-    buf_ += v;
+    buf_ += '[';
+    char tmp[32];
+    for (size_t i = 0; i < v.size(); ++i) {
+      std::snprintf(tmp, sizeof(tmp), "%s%.0f", i > 0 ? ", " : "", v[i]);
+      buf_ += tmp;
+    }
+    buf_ += ']';
     return *this;
   }
   void Print() { std::printf("{%s}\n", buf_.c_str()); }

@@ -4,8 +4,8 @@
 // Zipfian YCSB over a DRAM-NVM-SSD hierarchy whose working set spills to
 // SSD, so buffer misses are the common case. One config, four executors:
 //
-//   K=1   the blocking procedures (YcsbWorkload::RunTransaction) on the
-//         classic closed-loop driver — every miss stalls its worker.
+//   K=1   the blocking procedures (YcsbWorkload::RunTransaction) through
+//         WorkloadDriver::Run — every miss stalls its worker.
 //   K=4/8/16  WorkloadDriver::RunInterleaved — each worker drives a ring
 //         of K transaction state machines over the async miss path; a
 //         machine that parks on a miss yields the worker to a sibling.
@@ -46,18 +46,6 @@ namespace {
 constexpr int kThreads = 8;
 const std::vector<int> kRingDepths = {4, 8, 16};
 
-std::string SliceArray(const std::vector<double>& slices) {
-  std::string out = "[";
-  char tmp[32];
-  for (size_t i = 0; i < slices.size(); ++i) {
-    std::snprintf(tmp, sizeof(tmp), "%.0f", slices[i]);
-    if (i > 0) out += ", ";
-    out += tmp;
-  }
-  out += "]";
-  return out;
-}
-
 void EmitPoint(const char* workload, const char* mode, int ring_depth,
                const DriverResult& res) {
   JsonLine line;
@@ -71,7 +59,7 @@ void EmitPoint(const char* workload, const char* mode, int ring_depth,
       .Num("aborted", res.aborted)
       .Num("abort_rate", res.AbortRate());
   AddLatencyPercentiles(line, res.latency_ns);
-  line.Raw("slice_tx_per_sec", SliceArray(res.slice_ops_per_sec));
+  line.Array("slice_tx_per_sec", res.slice_ops_per_sec);
   line.Print();
 }
 

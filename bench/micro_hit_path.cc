@@ -7,10 +7,6 @@
 // Emits one JSON line per (tier, threads) configuration via JsonLine so
 // speedups and regressions are diffable across commits.
 
-#include <atomic>
-#include <thread>
-#include <vector>
-
 #include "bench_util.h"
 
 namespace spitfire::bench {
@@ -18,34 +14,6 @@ namespace {
 
 constexpr double kDbMb = 8;       // 512 pages — fits either buffer
 constexpr double kBufferMb = 16;  // room for the whole working set
-
-// Closed-loop fetch-only throughput: each op pins a uniformly random page
-// and releases it. No tuple payload is copied so the descriptor hot path
-// dominates the measurement.
-double MeasureFetchOps(BufferManager& bm, uint64_t num_pages, int threads,
-                       double seconds) {
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> ops{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0x517F14E + static_cast<uint64_t>(t) * 7919);
-      uint64_t local = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const page_id_t pid = rng.NextUint64(num_pages);
-        auto r = bm.FetchPage(pid, AccessIntent::kRead);
-        if (r.ok()) ++local;
-      }
-      ops.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  stop.store(true);
-  const double elapsed = timer.ElapsedSeconds();
-  for (auto& w : workers) w.join();
-  return static_cast<double>(ops.load()) / elapsed;
-}
 
 void RunTier(const char* tier_name, const HierarchySpec& spec,
              double seconds) {
@@ -60,7 +28,10 @@ void RunTier(const char* tier_name, const HierarchySpec& spec,
   }
   for (int threads : {1, 2, 4, 8}) {
     h.bm->stats().Reset();
-    const double ops = MeasureFetchOps(*h.bm, num_pages, threads, seconds);
+    // Each op pins a uniformly random page and releases it; no tuple
+    // payload is copied, so the descriptor hot path dominates.
+    const double ops =
+        MeasureFetchOps(*h.bm, num_pages, threads, seconds, 0x517F14E);
     JsonLine()
         .Str("bench", "micro_hit_path")
         .Str("tier", tier_name)

@@ -7,28 +7,31 @@
 //  - hot: all threads fetch the same slowly-advancing page (a shared
 //    counter advances the target every 8 global ops), so every advance
 //    is a MISS STORM — N threads hitting one cold page at once.
-//    Single-flight dedup turns N device reads (or N-1 latch spinners)
-//    into one read plus N-1 sleeping waiters, and because the hot page
-//    advances sequentially (a shared scan front), read-ahead streams the
-//    next window in one coalesced device op, paying the per-op fixed
-//    cost once per window instead of once per page.
+//    Single-flight dedup turns N device reads into one read plus N-1
+//    sleeping waiters, and because the hot page advances sequentially (a
+//    shared scan front), read-ahead streams the next window in one
+//    coalesced device op, paying the per-op fixed cost once per window
+//    instead of once per page.
 //
-// Each configuration runs with the I/O scheduler off (the seed's
-// synchronous read-under-latch path) and on, one JSON line per point.
+// Every fetch goes through the one asynchronous miss path (I/O scheduler,
+// descriptor kIoInflight state, completion install); the pattern rows
+// are tagged "sched": "on" for continuity with older runs, whose
+// "sched": "off" rows measured a synchronous read-under-latch path that
+// no longer exists.
 //
 // A second section sweeps the submission/completion split: the blocking
-// FetchPage shim versus the asynchronous ring driver
-// (WorkloadDriver::RunAsyncPageOps) at --queue-depth=1,4,16,64 tickets in
-// flight per worker. Blocking keeps at most one miss per thread in the
-// SSD's queues no matter how deep they are; the ring converts queue depth
-// into throughput. Latency percentiles (p50/p99/p999) come from the same
-// histogram for both modes.
+// FetchPage shim versus the interleaved executor
+// (WorkloadDriver::RunInterleaved over a one-fetch PageOpMachine) at
+// --queue-depth=1,4,16,64 ops in flight per worker. Blocking keeps at
+// most one miss per thread in the SSD's queues no matter how deep they
+// are; the ring converts queue depth into throughput. Latency percentiles
+// (p50/p99/p999) come from the same histogram for both modes.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -45,7 +48,7 @@ struct MissHierarchy {
   std::unique_ptr<BufferManager> bm;
 };
 
-MissHierarchy Make(bool scheduler_on) {
+MissHierarchy Make() {
   MissHierarchy h;
   h.ssd = std::make_unique<SsdDevice>(
       static_cast<uint64_t>(2 * kDbMb * 1024 * 1024));
@@ -54,86 +57,59 @@ MissHierarchy Make(bool scheduler_on) {
   opt.nvm_frames = 0;
   opt.policy = MigrationPolicy::Eager();
   opt.ssd = h.ssd.get();
-  opt.enable_io_scheduler = scheduler_on;
   h.bm = std::make_unique<BufferManager>(opt);
   return h;
 }
 
-double MeasureMissOps(BufferManager& bm, uint64_t num_pages, int threads,
-                      double seconds, bool hot) {
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> ops{0};
-  std::atomic<uint64_t> tick{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0x4155C + static_cast<uint64_t>(t) * 6271);
-      uint64_t local = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        page_id_t pid;
-        if (hot) {
-          // All threads chase one page that advances every 8 global ops —
-          // a shared scan front: each advance storms a cold page, and the
-          // sequential order lets read-ahead stay ahead of the front.
-          const uint64_t c = tick.fetch_add(1, std::memory_order_relaxed);
-          pid = static_cast<page_id_t>((c / 8) % num_pages);
-        } else {
-          pid = rng.NextUint64(num_pages);
-        }
-        auto r = bm.FetchPage(pid, AccessIntent::kRead);
-        if (r.ok()) ++local;
-      }
-      ops.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  stop.store(true);
-  const double elapsed = timer.ElapsedSeconds();
-  for (auto& w : workers) w.join();
-  return static_cast<double>(ops.load()) / elapsed;
-}
-
-void RunMode(bool scheduler_on, double seconds) {
+void RunPatterns(double seconds) {
   const uint64_t num_pages = PagesForMb(kDbMb);
   for (const bool hot : {false, true}) {
-    MissHierarchy h = Make(scheduler_on);
+    MissHierarchy h = Make();
     Populate(*h.bm, num_pages);
     // Devices simulate Table 1 latencies during measurement: the miss
     // path's cost is the device wait, which is what the scheduler hides.
     LatencySimulator::SetScale(EnvScale(1.0));
+    BufferManager& bm = *h.bm;
     for (int threads : {1, 2, 4, 8}) {
-      h.bm->stats().Reset();
+      bm.stats().Reset();
       h.ssd->stats().Reset();
+      std::atomic<uint64_t> tick{0};
       const double ops =
-          MeasureMissOps(*h.bm, num_pages, threads, seconds, hot);
-      const auto snap = h.bm->stats().Snapshot();
-      JsonLine line;
-      line.Str("bench", "micro_miss_path")
-          .Str("sched", scheduler_on ? "on" : "off")
+          MeasureClosedLoop(threads, seconds, 0x4155C, [&](Xoshiro256& rng) {
+            // Hot: all threads chase one page that advances every 8 global
+            // ops — a shared scan front: each advance storms a cold page,
+            // and the sequential order lets read-ahead stay ahead of it.
+            const page_id_t pid =
+                hot ? static_cast<page_id_t>(
+                          (tick.fetch_add(1, std::memory_order_relaxed) / 8) %
+                          num_pages)
+                    : rng.NextUint64(num_pages);
+            return bm.FetchPage(pid, AccessIntent::kRead).ok();
+          });
+      const auto snap = bm.stats().Snapshot();
+      JsonLine()
+          .Str("bench", "micro_miss_path")
+          .Str("sched", "on")
           .Str("pattern", hot ? "hot" : "uniform")
           .Num("threads", threads)
           .Num("pages", num_pages)
           .Num("ops_per_sec", ops)
           .Num("ssd_reads", h.ssd->stats().num_reads.load())
           .Num("ssd_read_pages", h.ssd->stats().bytes_read.load() / kPageSize)
-          .Num("ssd_fetches", snap.ssd_fetches);
-      if (scheduler_on) {
-        line.Num("reads_deduped",
-                 h.bm->io_scheduler()->stats().reads_deduped.load())
-            .Num("ra_installs", snap.read_ahead_installs);
-      }
-      line.Print();
+          .Num("ssd_fetches", snap.ssd_fetches)
+          .Num("reads_deduped",
+               bm.io_scheduler()->stats().reads_deduped.load())
+          .Num("ra_installs", snap.read_ahead_installs)
+          .Print();
     }
     LatencySimulator::SetScale(0.0);
   }
 }
 
-// Shared op stream for the queue-depth sweep: same distributions as
-// MeasureMissOps, expressed as a PageOp generator so the blocking and
-// async modes measure identical access sequences.
+// Shared op stream for the queue-depth sweep, so the blocking and
+// interleaved modes measure identical access sequences.
 //
-// The hot pattern here differs from RunMode's scan front on purpose:
+// The hot pattern here differs from RunPatterns' scan front on purpose:
 // the storm page jumps kStormStride (> read_ahead_pages) per advance,
 // so every storm target is COLD — read-ahead cannot stream it in, and
 // all eight threads pile onto one in-flight read per advance. Blocking
@@ -147,15 +123,76 @@ struct MissOpGen {
   bool hot = false;
   std::atomic<uint64_t> tick{0};
 
-  PageOp Next(Xoshiro256& rng) {
+  page_id_t Next(Xoshiro256& rng) {
     if (hot) {
       const uint64_t c = tick.fetch_add(1, std::memory_order_relaxed);
-      return {static_cast<page_id_t>(((c / 8) * kStormStride) % num_pages),
-              AccessIntent::kRead};
+      return static_cast<page_id_t>(((c / 8) * kStormStride) % num_pages);
     }
-    return {static_cast<page_id_t>(rng.NextUint64(num_pages)),
-            AccessIntent::kRead};
+    return static_cast<page_id_t>(rng.NextUint64(num_pages));
   }
+};
+
+// One read fetch per transaction. The machine holds its own ticket and
+// harvests the completion in place: the FetchContext resume protocol
+// (drop the completion's pin, re-fetch as a hit) would re-miss under ring
+// pressure and cost two device reads for one op. Until the ticket fires
+// the machine reports WouldBlock, so the driver's pump-when-stuck rule
+// paces the wait. A Busy completion (miss admission full, install race)
+// is resubmitted on a later step once the page's shard admits misses
+// again, up to kMaxBusyRetries times, before the op counts as aborted.
+class PageOpMachine final : public TxnMachine {
+ public:
+  static constexpr int kMaxBusyRetries = 32;
+
+  PageOpMachine(BufferManager* bm, MissOpGen* gen) : bm_(bm), gen_(gen) {}
+
+  Status Step(Xoshiro256& rng, FetchContext*) override {
+    if (!in_flight_) {
+      pid_ = gen_->Next(rng);
+      busy_retries_ = 0;
+      in_flight_ = true;
+      Submit();
+    } else if (Fired() && ticket_.status.IsBusy() &&
+               busy_retries_ < kMaxBusyRetries && AdmissionOpen()) {
+      ++busy_retries_;
+      Submit();
+    }
+    if (!Fired() ||
+        (ticket_.status.IsBusy() && busy_retries_ < kMaxBusyRetries)) {
+      return Status::WouldBlock();
+    }
+    in_flight_ = false;
+    ticket_.guard.Release();
+    return ticket_.status;
+  }
+
+  void Cancel() override {
+    while (in_flight_ && !Fired()) (void)bm_->PumpIo(/*may_sleep=*/true);
+    ticket_.guard.Release();
+    in_flight_ = false;
+  }
+
+  bool in_flight() const override { return in_flight_; }
+
+ private:
+  bool Fired() const { return ticket_.ready.load(std::memory_order_acquire); }
+  // Whether the page's shard would admit a new miss right now. Retrying
+  // into a full admission gate only burns the retry budget.
+  bool AdmissionOpen() const {
+    const BufferShard* s = bm_->shard(bm_->ShardIndexOf(pid_));
+    return s->inflight_misses() < s->miss_admission_cap();
+  }
+  void Submit() {
+    ticket_.Reset();
+    (void)bm_->SubmitFetch(pid_, AccessIntent::kRead, &ticket_);
+  }
+
+  BufferManager* bm_;
+  MissOpGen* gen_;
+  FetchTicket ticket_;
+  page_id_t pid_ = 0;
+  int busy_retries_ = 0;
+  bool in_flight_ = false;
 };
 
 void EmitSweepLine(const char* mode, int qd, bool hot, int threads,
@@ -180,8 +217,7 @@ void EmitSweepLine(const char* mode, int qd, bool hot, int threads,
 }
 
 // Blocking vs async at each queue depth, 8 workers each. The blocking
-// reference is the FetchPage shim driven by the closed-loop driver
-// (qd is reported as 1: one op in flight per thread by construction).
+// reference is the FetchPage shim driven by the closed-loop driver.
 void RunQueueDepthSweep(const std::vector<int>& depths, double seconds) {
   const uint64_t num_pages = PagesForMb(kDbMb);
   // SPITFIRE_SWEEP_THREADS overrides the worker count (useful for
@@ -191,63 +227,30 @@ void RunQueueDepthSweep(const std::vector<int>& depths, double seconds) {
     threads = std::max(1, std::atoi(e));
   }
   for (const bool hot : {false, true}) {
-    {
-      MissHierarchy h = Make(/*scheduler_on=*/true);
+    // qd 0 is the blocking reference.
+    std::vector<int> points = {0};
+    points.insert(points.end(), depths.begin(), depths.end());
+    for (const int qd : points) {
+      MissHierarchy h = Make();
       Populate(*h.bm, num_pages);
       LatencySimulator::SetScale(EnvScale(1.0));
       h.bm->stats().Reset();
       h.ssd->stats().Reset();
       MissOpGen gen{num_pages, hot};
       BufferManager* bm = h.bm.get();
-      const DriverResult res = WorkloadDriver::Run(
-          threads, seconds,
-          [bm, &gen](Xoshiro256& rng) {
-            const PageOp op = gen.Next(rng);
-            auto r = bm->FetchPage(op.pid, op.intent);
-            return r.ok() ? Status::OK() : r.status();
-          });
-      EmitSweepLine("blocking", 1, hot, threads, res, *h.bm, *h.ssd);
-      LatencySimulator::SetScale(0.0);
-    }
-    for (const int qd : depths) {
-      MissHierarchy h = Make(/*scheduler_on=*/true);
-      Populate(*h.bm, num_pages);
-      LatencySimulator::SetScale(EnvScale(1.0));
-      h.bm->stats().Reset();
-      h.ssd->stats().Reset();
-      MissOpGen gen{num_pages, hot};
-      std::atomic<bool> diag_stop{false};
-      std::thread diag;
-      if (std::getenv("SPITFIRE_DIAG") != nullptr) {
-        diag = std::thread([&] {
-          while (!diag_stop.load()) {
-            const auto snap = h.bm->stats().Snapshot();
-            const auto cen = h.bm->DebugDramCensus();
-            std::fprintf(
-                stderr,
-                "[diag] qd=%d hot=%d inflight=%u cap=%u comps=%llu "
-                "submits=%llu fetches=%llu evict=%llu hits=%llu | "
-                "free=%u evictable=%u pinned=%u detached=%u pins=%llu\n",
-                qd, hot ? 1 : 0, h.bm->inflight_misses(),
-                h.bm->miss_admission_cap(),
-                static_cast<unsigned long long>(
-                    h.bm->io_scheduler()->stats().completions_run.load()),
-                static_cast<unsigned long long>(snap.miss_submits),
-                static_cast<unsigned long long>(snap.ssd_fetches),
-                static_cast<unsigned long long>(snap.dram_evictions),
-                static_cast<unsigned long long>(snap.dram_hits), cen.free,
-                cen.evictable, cen.pinned, cen.detached,
-                static_cast<unsigned long long>(cen.total_pins));
-            std::this_thread::sleep_for(std::chrono::milliseconds(250));
-          }
-        });
-      }
-      const DriverResult res = WorkloadDriver::RunAsyncPageOps(
-          h.bm.get(), threads, seconds, qd,
-          [&gen](Xoshiro256& rng) { return gen.Next(rng); });
-      diag_stop.store(true);
-      if (diag.joinable()) diag.join();
-      EmitSweepLine("async", qd, hot, threads, res, *h.bm, *h.ssd);
+      const auto blocking_op = [bm, &gen](Xoshiro256& rng) {
+        return bm->FetchPage(gen.Next(rng), AccessIntent::kRead).status();
+      };
+      const auto machine = [bm, &gen] {
+        return std::make_unique<PageOpMachine>(bm, &gen);
+      };
+      const DriverResult res =
+          qd == 0 ? WorkloadDriver::Run(threads, seconds, blocking_op)
+                  : WorkloadDriver::RunInterleaved(bm, threads, seconds, qd,
+                                                   machine);
+      // Blocking reports qd 1: one op in flight per thread by construction.
+      EmitSweepLine(qd == 0 ? "blocking" : "async", std::max(qd, 1), hot,
+                    threads, res, *h.bm, *h.ssd);
       LatencySimulator::SetScale(0.0);
     }
   }
@@ -257,10 +260,7 @@ void Main(const std::vector<int>& depths, bool sweep_only) {
   PrintBanner("micro_miss_path", "SSD-miss fetch throughput (I/O scheduler)");
   const double seconds = EnvSeconds(1.5);
   LatencySimulator::SetScale(0.0);
-  if (!sweep_only) {
-    RunMode(/*scheduler_on=*/false, seconds);
-    RunMode(/*scheduler_on=*/true, seconds);
-  }
+  if (!sweep_only) RunPatterns(seconds);
   RunQueueDepthSweep(depths, seconds);
   LatencySimulator::SetScale(1.0);
 }

@@ -95,16 +95,6 @@ size_t HotResident(const BufferManager& bm) {
   return n;
 }
 
-std::string SlicesJson(const std::vector<double>& slices) {
-  std::string s = "[";
-  char tmp[32];
-  for (size_t i = 0; i < slices.size(); ++i) {
-    std::snprintf(tmp, sizeof(tmp), "%s%.0f", i ? ", " : "", slices[i]);
-    s += tmp;
-  }
-  return s + "]";
-}
-
 double WindowTput(const std::vector<double>& slices, size_t n) {
   double sum = 0;
   n = std::min(n, slices.size());
@@ -219,7 +209,7 @@ void PrintPhaseLines(const char* section, const char* policy,
         .Num("ops_per_sec", row.result.Throughput())
         .Num("committed", row.result.committed)
         .Num("aborted", row.result.aborted)
-        .Raw("slice_ops_per_sec", SlicesJson(row.result.slice_ops_per_sec));
+        .Array("slice_ops_per_sec", row.result.slice_ops_per_sec);
     if (row.result.name == "point_post") {
       line.Num("recovery_window_ops_per_sec",
                WindowTput(row.result.slice_ops_per_sec, kRecoverySlices));

@@ -15,10 +15,6 @@
 // across commits. shards=1 is the pre-sharding engine bit-for-bit, so
 // hot_hit/shards=1 doubles as the micro_hit_path parity reference.
 
-#include <atomic>
-#include <thread>
-#include <vector>
-
 #include "bench_util.h"
 
 namespace spitfire::bench {
@@ -31,32 +27,6 @@ constexpr double kHotDbMb = 16;       // 1024 pages
 constexpr double kHotBufferMb = 64;   // whole working set resident, 4x slack
 constexpr double kMissDbMb = 64;      // 4096 pages
 constexpr double kMissBufferMb = 8;   // 512 frames → ~1/8 residency
-
-// Closed-loop fetch-only throughput over uniformly random pages.
-double MeasureFetchOps(BufferManager& bm, uint64_t num_pages, int threads,
-                       double seconds) {
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> ops{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0x5CA1AB1E + static_cast<uint64_t>(t) * 7919);
-      uint64_t local = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const page_id_t pid = rng.NextUint64(num_pages);
-        auto r = bm.FetchPage(pid, AccessIntent::kRead);
-        if (r.ok()) ++local;
-      }
-      ops.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  stop.store(true);
-  const double elapsed = timer.ElapsedSeconds();
-  for (auto& w : workers) w.join();
-  return static_cast<double>(ops.load()) / elapsed;
-}
 
 void RunMode(const char* mode, double db_mb, double buffer_mb,
              bool prewarm_all, double seconds) {
@@ -84,7 +54,8 @@ void RunMode(const char* mode, double db_mb, double buffer_mb,
     }
     for (int threads : {1, 2, 4, 8, 16}) {
       h.bm->stats().Reset();
-      const double ops = MeasureFetchOps(*h.bm, num_pages, threads, seconds);
+      const double ops =
+          MeasureFetchOps(*h.bm, num_pages, threads, seconds, 0x5CA1AB1E);
       JsonLine()
           .Str("bench", "shard_scaling")
           .Str("mode", mode)

@@ -12,7 +12,6 @@
 namespace spitfire {
 
 namespace {
-constexpr int kFetchMaxAttempts = 8192;
 // How long a promotion waits to retire the NVM copy (drain optimistic
 // pins, Section 5.2) before giving up and serving the access from NVM.
 constexpr int kPinDrainSpins = 4096;
@@ -85,6 +84,7 @@ BufferShard::BufferShard(const BufferManagerOptions& options,
       next_page_id_(ctx.next_page_id),
       io_(ctx.io) {
   SPITFIRE_CHECK(ssd_ != nullptr);
+  SPITFIRE_CHECK(ctx.io != nullptr);
   SPITFIRE_CHECK(next_page_id_ != nullptr);
   SPITFIRE_CHECK(options_.replacer_sample_rate >= 1);
   SetPolicy(options_.policy);
@@ -136,7 +136,6 @@ BufferShard::BufferShard(const BufferManagerOptions& options,
     }
   }
   SPITFIRE_CHECK(dram_pool_ != nullptr || nvm_pool_ != nullptr);
-  SPITFIRE_CHECK(!options_.enable_io_scheduler || io_ != nullptr);
 
   // Per-shard admission control: each shard bounds its own in-flight
   // misses so one shard's miss storm cannot starve the others' install
@@ -304,7 +303,6 @@ Result<PageGuard> BufferShard::FetchPage(page_id_t pid,
   Status resolve;
   SharedPageDescriptor* d = ResolveFetch(pid, &resolve);
   if (d == nullptr) return resolve;
-  if (io_ == nullptr) return FetchPageSync(d, intent);
 
   // Blocking shim over the submission/completion split: submit a ticket,
   // drive completions until it fires, retry transient failures with a
@@ -358,24 +356,6 @@ Result<PageGuard> BufferShard::FetchPage(page_id_t pid,
   return Status::Busy("FetchPage exceeded retry budget");
 }
 
-Result<PageGuard> BufferShard::FetchPageSync(SharedPageDescriptor* d,
-                                               AccessIntent intent) {
-  const MigrationPolicy pol = policy();
-  for (int attempt = 0; attempt < kFetchMaxAttempts; ++attempt) {
-    Tier tier;
-    const int h = TryHitOnce(d, intent, pol, &tier);
-    if (h > 0) return PageGuard(this, d, tier);
-    if (h == 0) {
-      // Miss: fetch from SSD under the latches.
-      Result<PageGuard> r = InstallFromSsd(d, intent);
-      if (r.ok()) return r;
-      if (!r.status().IsBusy()) return r;
-    }
-    __builtin_ia32_pause();
-  }
-  return Status::Busy("FetchPage exceeded retry budget");
-}
-
 BufferShard::FrameCensus BufferShard::DebugDramCensus() const {
   FrameCensus c;
   if (dram_pool_ == nullptr) return c;
@@ -411,7 +391,7 @@ void BufferShard::FinishTicket(FetchTicket* t, Status st) {
 }
 
 bool BufferShard::PumpIo(bool may_sleep) {
-  return io_ != nullptr && io_->PumpCompletions(may_sleep);
+  return io_->PumpCompletions(may_sleep);
 }
 
 FetchSubmit BufferShard::SubmitFetch(page_id_t pid, AccessIntent intent,
@@ -429,18 +409,6 @@ FetchSubmit BufferShard::SubmitFetch(page_id_t pid, AccessIntent intent,
     FinishTicket(t, std::move(resolve));
     return FetchSubmit::kCompleted;
   }
-  if (io_ == nullptr) {
-    // No async engine: serve through the legacy synchronous path.
-    Result<PageGuard> r = FetchPageSync(d, intent);
-    if (r.ok()) {
-      t->guard = r.MoveValue();
-      FinishTicket(t, Status::OK());
-    } else {
-      FinishTicket(t, r.status());
-    }
-    return FetchSubmit::kCompleted;
-  }
-
   NoteChainAccess(pid);
   return SubmitFetchOnDescriptor(d, intent, t);
 }
@@ -578,7 +546,7 @@ void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
         // re-dispatch below is served from the scheduler's staged image.
         st = Status::Busy("page written during miss read");
       } else {
-        Result<PageGuard> r = InstallPinned(d, AccessIntent::kRead, data);
+        Result<PageGuard> r = InstallPinned(d, data);
         if (r.ok()) {
           first = r.MoveValue();
           tier = first.tier();
@@ -703,36 +671,8 @@ Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
   return Status::OutOfMemory("no frame available for new page");
 }
 
-namespace {
-// Per-thread scratch page for miss reads: the device read happens before
-// any descriptor latch is taken, so the destination cannot be the frame.
-std::byte* MissScratch() {
-  thread_local std::unique_ptr<std::byte[]> buf;
-  if (buf == nullptr) buf = std::make_unique<std::byte[]>(kPageSize);
-  return buf.get();
-}
-}  // namespace
-
-Result<PageGuard> BufferShard::InstallFromSsd(SharedPageDescriptor* d,
-                                                AccessIntent intent) {
-  // Only reached with the I/O scheduler disabled (FetchPageSync); misses
-  // otherwise go through SubmitFetch → LeadMiss → CompleteMiss.
-  SPITFIRE_DCHECK(io_ == nullptr);
-  // Legacy synchronous path: device read under the descriptor latches.
-  SpinLatchGuard gd(d->dram_latch);
-  SpinLatchGuard gn(d->nvm_latch);
-  if (d->DramResident() || d->NvmResident()) {
-    return Status::Busy("page appeared while installing");
-  }
-  std::byte* scratch = MissScratch();
-  SPITFIRE_RETURN_NOT_OK(ssd_->Read(SsdOffset(d->pid), scratch, kPageSize));
-  return InstallPinned(d, intent, scratch);
-}
-
 Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
-                                               AccessIntent intent,
                                                const std::byte* src) {
-  (void)intent;  // the landing tier depends only on Nr today
   const MigrationPolicy pol = policy();
   const bool have_dram = dram_pool_ != nullptr;
   const bool have_nvm = nvm_pool_ != nullptr;
@@ -808,7 +748,7 @@ Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
 // ---------------------------------------------------------------------------
 
 void BufferShard::MaybeScheduleReadAhead(page_id_t pid) {
-  if (io_ == nullptr || options_.io_scheduler.read_ahead_pages == 0) return;
+  if (options_.io_scheduler.read_ahead_pages == 0) return;
   const page_id_t prev = last_miss_pid_.exchange(pid);
   bool trigger = false;
   if (pid == ra_next_pid_.load(std::memory_order_relaxed)) {
@@ -1164,8 +1104,8 @@ void BufferShard::WriteBackUnitsToNvm(SharedPageDescriptor* d) {
 // through to TryPinNvm and reads pre-write-back bytes — a lost update from
 // the reader's point of view. So dirty paths retire the NVM word BEFORE
 // the DRAM word; with both retired (and both latches held, which blocks
-// InstallFromSsd), readers can only spin in FetchPage until the write-back
-// finishes and the copies are republished.
+// CompleteMiss's install), readers can only spin in FetchPage until the
+// write-back finishes and the copies are republished.
 bool BufferShard::TryEvictDramFrame(frame_id_t f) {
   SharedPageDescriptor* d = dram_pool_->Owner(f);
   if (d == nullptr) return false;
@@ -1732,13 +1672,10 @@ Status BufferShard::WriteToSsd(page_id_t pid, const std::byte* data) {
   StampPageChecksum(stamp_buf.get());
   // Asynchronous staged write: the scheduler copies the image, so the
   // buffer may be reused the moment this returns.
-  if (io_ != nullptr) return io_->WritePage(SsdOffset(pid), stamp_buf.get());
-  return ssd_->Write(SsdOffset(pid), stamp_buf.get(), kPageSize);
+  return io_->WritePage(SsdOffset(pid), stamp_buf.get());
 }
 
-Status BufferShard::DrainIo() {
-  return io_ != nullptr ? io_->Drain() : Status::OK();
-}
+Status BufferShard::DrainIo() { return io_->Drain(); }
 
 Status BufferShard::FlushPage(page_id_t pid) {
   SharedPageDescriptor* d = descriptors_.Find(pid);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 
 namespace spitfire {
@@ -9,8 +10,20 @@ namespace spitfire {
 Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
 
 int Histogram::BucketFor(uint64_t value) {
-  if (value == 0) return 0;
-  return std::min(kNumBuckets - 1, 64 - std::countl_zero(value));
+  if (value < kSub) return static_cast<int>(value);
+  // Octave e = floor(log2 value) >= kSubBits; the kSubBits bits below the
+  // leading one pick the sub-bucket.
+  const int shift = 63 - std::countl_zero(value) - kSubBits;
+  return kSub + shift * kSub +
+         static_cast<int>((value >> shift) & (kSub - 1));
+}
+
+uint64_t Histogram::BucketMid(int bucket) {
+  if (bucket < kSub) return static_cast<uint64_t>(bucket);
+  const int shift = (bucket - kSub) / kSub;
+  const uint64_t low = static_cast<uint64_t>(kSub + (bucket - kSub) % kSub)
+                       << shift;
+  return low + ((1ULL << shift) >> 1);
 }
 
 void Histogram::Add(uint64_t value) {
@@ -35,15 +48,13 @@ double Histogram::Mean() const {
 
 uint64_t Histogram::Percentile(double p) const {
   if (count_ == 0) return 0;
-  const uint64_t target =
-      static_cast<uint64_t>(p / 100.0 * static_cast<double>(count_));
+  const double rank = std::ceil(p / 100.0 * static_cast<double>(count_));
+  const uint64_t target = std::clamp<uint64_t>(
+      rank > 0 ? static_cast<uint64_t>(rank) : 0, 1, count_);
   uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
     seen += buckets_[i];
-    if (seen >= target) {
-      // Upper bound of bucket i is 2^i (bucket 0 holds zeros).
-      return i == 0 ? 0 : (1ULL << i);
-    }
+    if (seen >= target) return std::clamp(BucketMid(i), min_, max_);
   }
   return max_;
 }

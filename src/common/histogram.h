@@ -7,8 +7,12 @@
 
 namespace spitfire {
 
-// Log-bucketed latency histogram (nanosecond samples). Not thread-safe;
-// each worker keeps its own and merges at the end of a run.
+// Log-linear latency histogram (nanosecond samples), HDR style: values
+// below 32 get exact buckets; above, each power-of-two octave is split
+// into 32 equal sub-buckets, so a reported percentile (the sub-bucket's
+// midpoint) is within about 1.6% of the true sample value. Fixed-size and
+// allocation-free after construction; mergeable. Not thread-safe; each
+// worker keeps its own and merges at the end of a run.
 class Histogram {
  public:
   Histogram();
@@ -20,13 +24,18 @@ class Histogram {
   uint64_t min() const { return count_ ? min_ : 0; }
   uint64_t max() const { return max_; }
   double Mean() const;
-  // Approximate percentile (p in [0, 100]) from bucket boundaries.
+  // Nearest-rank percentile (p in [0, 100]): the midpoint of the bucket
+  // holding the ceil(p% * count)-th smallest sample, clamped to
+  // [min(), max()].
   uint64_t Percentile(double p) const;
   std::string ToString() const;
 
  private:
-  static constexpr int kNumBuckets = 64;
+  static constexpr int kSubBits = 5;  // 32 sub-buckets per octave
+  static constexpr int kSub = 1 << kSubBits;
+  static constexpr int kNumBuckets = kSub + (64 - kSubBits) * kSub;
   static int BucketFor(uint64_t value);
+  static uint64_t BucketMid(int bucket);
 
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;

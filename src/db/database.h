@@ -37,7 +37,6 @@ struct DatabaseOptions {
 
   // Async SSD I/O scheduler (single-flight misses, write coalescing,
   // read-ahead) for the buffer manager.
-  bool enable_io_scheduler = true;
   IoSchedulerOptions io_scheduler;
 
   // Write-ahead logging (Section 5.2).

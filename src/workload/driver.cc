@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -24,25 +25,65 @@ std::string DriverResult::ToString() const {
   return buf;
 }
 
-DriverResult WorkloadDriver::Run(int num_threads, double seconds,
-                                 const TxnFn& txn_fn, double warmup_seconds,
-                                 double slice_seconds) {
-  struct WorkerStats {
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    Histogram latency;
-  };
-  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
-  std::atomic<int> phase{0};  // 0 = warmup, 1 = measure, 2 = stop
-  // Optional throughput-over-time bins (committed per slice of the
-  // measurement window); workers flush locally-batched counts on slice
-  // change, as in RunPhased.
+namespace {
+
+// A blocking procedure as a machine: every step runs one whole
+// transaction, so it never parks and is never in flight between steps.
+class FnMachine final : public TxnMachine {
+ public:
+  explicit FnMachine(const WorkloadDriver::TxnFn* fn) : fn_(fn) {}
+  Status Step(Xoshiro256& rng, FetchContext*) override { return (*fn_)(rng); }
+  void Cancel() override {}
+  bool in_flight() const override { return false; }
+
+ private:
+  const WorkloadDriver::TxnFn* fn_;
+};
+
+struct CorePhase {
+  std::string name;
+  double seconds = 0;
+  const TxnMachineFactory* factory = nullptr;
+};
+
+// The execution core. Stage 0 is the warm-up (run with phase 0's
+// factory), stage p+1 is measured phase p, and stage phases.size()+1 is
+// the stop, after which workers only drain. `bm` null means the machines
+// never park: workers then never pump I/O and are not marked async-aware.
+std::vector<DriverResult> RunCore(BufferManager* bm, int num_threads,
+                                  int ring_depth, double warmup_seconds,
+                                  const std::vector<CorePhase>& phases,
+                                  double slice_seconds) {
+  const size_t num_phases = phases.size();
+  std::vector<DriverResult> results(num_phases);
+  if (num_phases == 0 || num_threads <= 0) return results;
+  const size_t stop_stage = num_phases + 1;
+  const size_t depth = static_cast<size_t>(std::max(1, ring_depth));
   const bool sliced = slice_seconds > 0;
   const uint64_t slice_ns =
       sliced ? static_cast<uint64_t>(slice_seconds * 1e9) : 1;
-  std::vector<std::atomic<uint64_t>> bins(
-      sliced ? static_cast<size_t>(seconds / slice_seconds + 0.5) + 1 : 0);
-  std::atomic<uint64_t> measure_start_ns{0};
+
+  // Throughput-over-time bins, one slab per phase. Workers accumulate
+  // locally and flush on slice/phase change, so the atomics see one RMW
+  // per worker per slice, not per transaction.
+  std::vector<std::vector<std::atomic<uint64_t>>> bins(num_phases);
+  if (sliced) {
+    for (size_t p = 0; p < num_phases; ++p) {
+      bins[p] = std::vector<std::atomic<uint64_t>>(
+          static_cast<size_t>(phases[p].seconds / slice_seconds + 0.5) + 1);
+    }
+  }
+  // Start timestamp of each phase, written before the stage advances to
+  // it (release), so workers entering the phase see it.
+  std::vector<std::atomic<uint64_t>> phase_start_ns(num_phases);
+  std::atomic<size_t> stage{warmup_seconds > 0 ? size_t{0} : size_t{1}};
+  phase_start_ns[0].store(NowNanos(), std::memory_order_relaxed);
+
+  struct WorkerStats {
+    std::vector<uint64_t> committed, aborted;
+    std::vector<Histogram> latency;
+  };
+  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(num_threads));
 
@@ -50,385 +91,69 @@ DriverResult WorkloadDriver::Run(int num_threads, double seconds,
     workers.emplace_back([&, t] {
       Xoshiro256 rng(0x5EED0000ULL + static_cast<uint64_t>(t) * 7919);
       WorkerStats& my = stats[static_cast<size_t>(t)];
-      while (phase.load(std::memory_order_acquire) == 0) {
-        (void)txn_fn(rng);
-      }
-      size_t cur_slice = 0;
-      uint64_t pending = 0;
-      const auto flush = [&] {
-        if (pending == 0 || bins.empty()) return;
-        bins[std::min(cur_slice, bins.size() - 1)].fetch_add(
-            pending, std::memory_order_relaxed);
-        pending = 0;
-      };
-      while (phase.load(std::memory_order_acquire) == 1) {
-        Timer txn_timer;
-        const Status st = txn_fn(rng);
-        my.latency.Add(txn_timer.ElapsedNanos());
-        if (st.ok()) {
-          ++my.committed;
-          if (sliced) {
-            const uint64_t start =
-                measure_start_ns.load(std::memory_order_relaxed);
-            const uint64_t now = NowNanos();
-            const size_t slice =
-                now > start ? static_cast<size_t>((now - start) / slice_ns)
-                            : 0;
-            if (slice != cur_slice) {
-              flush();
-              cur_slice = slice;
-            }
-            ++pending;
-          }
-        } else if (st.IsAborted() || st.IsBusy()) {
-          ++my.aborted;
-        } else {
-          std::fprintf(stderr, "driver: txn failed: %s\n",
-                       st.ToString().c_str());
-          ++my.aborted;
-        }
-      }
-      flush();
-    });
-  }
-
-  if (warmup_seconds > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(warmup_seconds));
-  }
-  Timer run_timer;
-  measure_start_ns.store(NowNanos(), std::memory_order_relaxed);
-  phase.store(1, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  phase.store(2, std::memory_order_release);
-  const double elapsed = run_timer.ElapsedSeconds();
-  for (auto& w : workers) w.join();
-
-  DriverResult result;
-  result.seconds = elapsed;
-  for (const auto& s : stats) {
-    result.committed += s.committed;
-    result.aborted += s.aborted;
-    result.latency_ns.Merge(s.latency);
-  }
-  result.slice_ops_per_sec.reserve(bins.size());
-  for (const auto& b : bins) {
-    result.slice_ops_per_sec.push_back(
-        static_cast<double>(b.load(std::memory_order_relaxed)) /
-        slice_seconds);
-  }
-  return result;
-}
-
-std::vector<WorkloadDriver::PhaseResult> WorkloadDriver::RunPhased(
-    int num_threads, const std::vector<PhaseSpec>& phases,
-    double slice_seconds) {
-  const size_t num_phases = phases.size();
-  std::vector<PhaseResult> results(num_phases);
-  if (num_phases == 0 || num_threads <= 0) return results;
-  slice_seconds = std::max(1e-3, slice_seconds);
-  const uint64_t slice_ns = static_cast<uint64_t>(slice_seconds * 1e9);
-
-  // Shared throughput-over-time bins, one slab per phase. Workers
-  // accumulate locally and flush on slice/phase change, so the atomics
-  // see one RMW per worker per slice, not per transaction.
-  std::vector<std::vector<std::atomic<uint64_t>>> bins(num_phases);
-  for (size_t p = 0; p < num_phases; ++p) {
-    const size_t n = static_cast<size_t>(
-                         phases[p].seconds / slice_seconds + 0.5) +
-                     1;
-    bins[p] = std::vector<std::atomic<uint64_t>>(std::max<size_t>(1, n));
-  }
-  // Start timestamp of each phase; entry p+1 is written before phase_idx
-  // advances to p+1 (release), so workers entering the phase see it.
-  std::vector<std::atomic<uint64_t>> phase_start_ns(num_phases);
-  phase_start_ns[0].store(NowNanos(), std::memory_order_relaxed);
-  std::atomic<size_t> phase_idx{0};
-
-  struct WorkerStats {
-    std::vector<uint64_t> committed, aborted;
-  };
-  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_threads));
-
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0xFA5E0000ULL + static_cast<uint64_t>(t) * 7919);
-      WorkerStats& my = stats[static_cast<size_t>(t)];
       my.committed.assign(num_phases, 0);
       my.aborted.assign(num_phases, 0);
-      size_t cur_phase = SIZE_MAX;
-      size_t cur_slice = 0;
+      my.latency.resize(num_phases);
+
+      // Slots hold the FetchContext the buffer manager's completer
+      // writes into, so they need stable addresses for the whole run.
+      struct Slot {
+        FetchContext ctx;
+        std::unique_ptr<TxnMachine> machine;
+        const TxnMachineFactory* factory = nullptr;  // built `machine`
+        size_t start_stage = 0;
+        uint64_t start_ns = 0;
+      };
+      std::vector<std::unique_ptr<Slot>> ring(depth);
+      for (auto& s : ring) s = std::make_unique<Slot>();
+      // Mark this worker async-aware up front: simulated device waits on
+      // this thread (e.g. a stolen prefetch execution) sleep instead of
+      // spinning, letting the ring's other completions overlap.
+      if (bm != nullptr) (void)bm->PumpIo(/*may_sleep=*/true);
+
+      size_t bin_phase = 0, bin_slice = 0;
       uint64_t pending = 0;
       const auto flush = [&] {
-        if (pending == 0 || cur_phase >= num_phases) return;
-        auto& slab = bins[cur_phase];
-        bins[cur_phase][std::min(cur_slice, slab.size() - 1)].fetch_add(
+        if (pending == 0) return;
+        auto& slab = bins[bin_phase];
+        slab[std::min(bin_slice, slab.size() - 1)].fetch_add(
             pending, std::memory_order_relaxed);
         pending = 0;
       };
-      for (;;) {
-        const size_t p = phase_idx.load(std::memory_order_acquire);
-        if (p >= num_phases) break;
-        const Status st = phases[p].fn(rng);
+      const auto record = [&](const Slot& s, const Status& st) {
+        const size_t p = s.start_stage - 1;
         const uint64_t now = NowNanos();
+        my.latency[p].Add(now - s.start_ns);
+        if (!st.ok()) {
+          if (!st.IsAborted() && !st.IsBusy()) {
+            std::fprintf(stderr, "driver: txn failed: %s\n",
+                         st.ToString().c_str());
+          }
+          ++my.aborted[p];
+          return;
+        }
+        ++my.committed[p];
+        if (!sliced) return;
         const uint64_t start =
             phase_start_ns[p].load(std::memory_order_relaxed);
         const size_t slice =
             now > start ? static_cast<size_t>((now - start) / slice_ns) : 0;
-        if (p != cur_phase || slice != cur_slice) {
+        if (p != bin_phase || slice != bin_slice) {
           flush();
-          cur_phase = p;
-          cur_slice = slice;
+          bin_phase = p;
+          bin_slice = slice;
         }
-        if (st.ok()) {
-          ++my.committed[p];
-          ++pending;
-        } else {
-          ++my.aborted[p];
-        }
-      }
-      flush();
-    });
-  }
-
-  for (size_t p = 0; p < num_phases; ++p) {
-    Timer phase_timer;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(phases[p].seconds));
-    results[p].seconds = phase_timer.ElapsedSeconds();
-    if (p + 1 < num_phases) {
-      phase_start_ns[p + 1].store(NowNanos(), std::memory_order_relaxed);
-    }
-    phase_idx.store(p + 1, std::memory_order_release);
-  }
-  for (auto& w : workers) w.join();
-
-  for (size_t p = 0; p < num_phases; ++p) {
-    results[p].name = phases[p].name;
-    for (const auto& s : stats) {
-      results[p].committed += s.committed[p];
-      results[p].aborted += s.aborted[p];
-    }
-    results[p].slice_ops_per_sec.reserve(bins[p].size());
-    for (const auto& b : bins[p]) {
-      results[p].slice_ops_per_sec.push_back(
-          static_cast<double>(b.load(std::memory_order_relaxed)) /
-          slice_seconds);
-    }
-  }
-  return results;
-}
-
-DriverResult WorkloadDriver::RunAsyncPageOps(BufferManager* bm,
-                                             int num_threads, double seconds,
-                                             int ring_depth,
-                                             const PageOpFn& op_fn,
-                                             double warmup_seconds) {
-  // A Busy completion means transient pool/install contention (or miss
-  // admission rejecting an over-committed ring); a slot resubmits its op
-  // this many times before counting it aborted. Retries are paced by
-  // completion arrival — an instantly-rejected resubmission does not count
-  // as progress, so the worker falls through to PumpIo below instead of
-  // spinning on resubmits — which makes a generous budget cheap.
-  constexpr int kOpMaxRetries = 32;
-
-  struct Slot {
-    FetchTicket ticket;
-    PageOp op;
-    uint64_t start_ns = 0;
-    int retries = 0;
-    bool busy = false;
-  };
-  struct WorkerStats {
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    Histogram latency;
-  };
-
-  const int depth = std::max(1, ring_depth);
-  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
-  std::atomic<int> phase{0};  // 0 = warmup, 1 = measure, 2 = stop
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_threads));
-
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0xA51D0000ULL + static_cast<uint64_t>(t) * 7919);
-      WorkerStats& my = stats[static_cast<size_t>(t)];
-      std::vector<Slot> ring(static_cast<size_t>(depth));
-      // Mark this worker async-aware up front: simulated device waits on
-      // this thread (e.g. a stolen prefetch execution) sleep instead of
-      // spinning, letting the ring's other completions overlap.
-      (void)bm->PumpIo(/*may_sleep=*/true);
-
-      for (;;) {
-        const int ph = phase.load(std::memory_order_acquire);
-        bool progressed = false;
-        bool any_busy = false;
-        int harvested = 0;
-        // Once one submission this pass is rejected outright (miss
-        // admission: the ring overcommits the pool), every further miss
-        // this pass would be rejected too — stop submitting and let the
-        // pass fall through to PumpIo. Without this, each completion wakes
-        // every worker to re-try its whole ring, and the rejected churn
-        // monopolizes the CPU that completions need.
-        bool saturated = false;
-
-        for (Slot& s : ring) {
-          // Harvest.
-          if (s.busy && s.ticket.ready.load(std::memory_order_acquire)) {
-            if (s.ticket.status.ok()) {
-              s.ticket.guard.Release();
-              if (ph == 1) {
-                ++my.committed;
-                my.latency.Add(NowNanos() - s.start_ns);
-              }
-              s.busy = false;
-              progressed = true;
-              ++harvested;
-            } else if (s.ticket.status.IsBusy()) {
-              if (s.retries >= kOpMaxRetries) {
-                if (ph == 1) ++my.aborted;
-                s.busy = false;
-                progressed = true;
-                ++harvested;
-              } else if (!saturated) {
-                ++s.retries;
-                s.ticket.Reset();
-                // An instantly-Busy resubmission is NOT progress: counting
-                // it would keep the pass "productive" forever and starve
-                // the completion pump — the classic 1-core livelock.
-                if (bm->SubmitFetch(s.op.pid, s.op.intent, &s.ticket) !=
-                        FetchSubmit::kCompleted ||
-                    s.ticket.status.ok()) {
-                  progressed = true;
-                } else {
-                  saturated = true;
-                }
-              }
-              // Saturated: slot stays parked (ready, Busy) and is retried
-              // on a later pass; retries only count actual submissions.
-            } else {
-              if (ph == 1) ++my.aborted;
-              s.busy = false;
-              progressed = true;
-              ++harvested;
-            }
-          }
-          // Refill.
-          if (!s.busy && ph < 2 && !saturated) {
-            s.op = op_fn(rng);
-            s.retries = 0;
-            s.start_ns = NowNanos();
-            s.ticket.Reset();
-            if (bm->SubmitFetch(s.op.pid, s.op.intent, &s.ticket) !=
-                    FetchSubmit::kCompleted ||
-                s.ticket.status.ok()) {
-              progressed = true;
-            } else {
-              saturated = true;
-            }
-            s.busy = true;
-          }
-          any_busy |= s.busy;
-        }
-
-        if (ph >= 2 && !any_busy) break;  // drained
-        if (harvested == 0) {
-          // Nothing in the ring completed this pass, so the worker reaps
-          // completions itself (submit-and-reap, io_uring style) rather
-          // than relying on the background completion thread — on a small
-          // core count, N submitters spinning on instant hits would starve
-          // it. Sleep only if the pass also submitted nothing: the next
-          // event that can change the ring's state is a completion.
-          (void)bm->PumpIo(/*may_sleep=*/!progressed);
-        }
-      }
-    });
-  }
-
-  if (warmup_seconds > 0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(warmup_seconds));
-  }
-  Timer run_timer;
-  phase.store(1, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  phase.store(2, std::memory_order_release);
-  const double elapsed = run_timer.ElapsedSeconds();
-  for (auto& w : workers) w.join();
-
-  DriverResult result;
-  result.seconds = elapsed;
-  for (const auto& s : stats) {
-    result.committed += s.committed;
-    result.aborted += s.aborted;
-    result.latency_ns.Merge(s.latency);
-  }
-  return result;
-}
-
-DriverResult WorkloadDriver::RunInterleaved(BufferManager* bm,
-                                            int num_threads, double seconds,
-                                            int ring_depth,
-                                            const TxnMachineFactory& factory,
-                                            double warmup_seconds,
-                                            double slice_seconds) {
-  // Slots hold the FetchContext the buffer manager's completer writes
-  // into, so they must have stable addresses for the whole run.
-  struct Slot {
-    FetchContext ctx;
-    std::unique_ptr<TxnMachine> machine;
-    uint64_t start_ns = 0;
-  };
-  struct WorkerStats {
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    Histogram latency;
-  };
-
-  const int depth = std::max(1, ring_depth);
-  const bool sliced = slice_seconds > 0;
-  const uint64_t slice_ns =
-      sliced ? static_cast<uint64_t>(slice_seconds * 1e9) : 1;
-  std::vector<std::atomic<uint64_t>> bins(
-      sliced ? static_cast<size_t>(seconds / slice_seconds + 0.5) + 1 : 0);
-  std::atomic<uint64_t> measure_start_ns{0};
-  std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
-  std::atomic<int> phase{0};  // 0 = warmup, 1 = measure, 2 = stop
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_threads));
-
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(0x17E40000ULL + static_cast<uint64_t>(t) * 7919);
-      WorkerStats& my = stats[static_cast<size_t>(t)];
-      std::vector<std::unique_ptr<Slot>> ring;
-      ring.reserve(static_cast<size_t>(depth));
-      for (int i = 0; i < depth; ++i) {
-        ring.push_back(std::make_unique<Slot>());
-        ring.back()->machine = factory();
-      }
-      // Mark this worker async-aware up front so simulated device waits
-      // on this thread sleep instead of spinning (see RunAsyncPageOps).
-      (void)bm->PumpIo(/*may_sleep=*/true);
-
-      size_t cur_slice = 0;
-      uint64_t pending = 0;
-      const auto flush = [&] {
-        if (pending == 0 || bins.empty()) return;
-        bins[std::min(cur_slice, bins.size() - 1)].fetch_add(
-            pending, std::memory_order_relaxed);
-        pending = 0;
+        ++pending;
       };
 
       for (;;) {
-        const int ph = phase.load(std::memory_order_acquire);
+        const size_t cur = stage.load(std::memory_order_acquire);
+        const bool stopping = cur >= stop_stage;
+        const TxnMachineFactory* factory =
+            stopping ? nullptr : phases[cur == 0 ? 0 : cur - 1].factory;
         bool progressed = false;  // any real forward motion this pass
         bool any_active = false;  // some machine still parked or in flight
-        int resumed = 0;          // parked machines resumed this pass
-        int finished = 0;         // transactions completed this pass
+        int moved = 0;            // resumed or finished transactions
 
         for (auto& sp : ring) {
           Slot& s = *sp;
@@ -440,15 +165,22 @@ DriverResult WorkloadDriver::RunInterleaved(BufferManager* bm,
             // Harvesting a real completion is progress; harvesting an
             // instantly-rejected (Busy) park is not — counting it would
             // spin the pass loop against a saturated admission gate and
-            // starve the completion pump (the RunAsyncPageOps livelock).
+            // starve the completion pump.
             const bool was_busy = s.ctx.parked_busy();
             (void)s.ctx.Harvest();
             if (!was_busy) {
               progressed = true;
-              ++resumed;
+              ++moved;
             }
-          } else if (!s.machine->in_flight()) {
-            if (ph >= 2) continue;  // draining: no new transactions
+          } else if (s.machine == nullptr || !s.machine->in_flight()) {
+            if (stopping) continue;  // draining: no new transactions
+            // Idle slot: begin the next transaction, on a machine of the
+            // current phase.
+            if (s.factory != factory) {
+              s.machine = (*factory)();
+              s.factory = factory;
+            }
+            s.start_stage = cur;
             s.start_ns = NowNanos();
           }
           const Status st = s.machine->Step(rng, &s.ctx);
@@ -457,33 +189,12 @@ DriverResult WorkloadDriver::RunInterleaved(BufferManager* bm,
             continue;
           }
           progressed = true;
-          ++finished;
-          if (ph == 1) {
-            my.latency.Add(NowNanos() - s.start_ns);
-            if (st.ok()) {
-              ++my.committed;
-              if (sliced) {
-                const uint64_t start =
-                    measure_start_ns.load(std::memory_order_relaxed);
-                const uint64_t now = NowNanos();
-                const size_t slice =
-                    now > start
-                        ? static_cast<size_t>((now - start) / slice_ns)
-                        : 0;
-                if (slice != cur_slice) {
-                  flush();
-                  cur_slice = slice;
-                }
-                ++pending;
-              }
-            } else {
-              ++my.aborted;
-            }
-          }
+          ++moved;
+          if (s.start_stage > 0 && !stopping) record(s, st);
         }
 
-        if (ph >= 2 && !any_active) break;  // drained
-        if (resumed == 0 && finished == 0) {
+        if (stopping && !any_active) break;  // drained
+        if (moved == 0 && bm != nullptr) {
           // Nothing moved: reap completions ourselves (submit-and-reap);
           // sleep only if the pass also made no other progress, since the
           // next state change can then only be a completion firing.
@@ -497,28 +208,75 @@ DriverResult WorkloadDriver::RunInterleaved(BufferManager* bm,
   if (warmup_seconds > 0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(warmup_seconds));
   }
-  Timer run_timer;
-  measure_start_ns.store(NowNanos(), std::memory_order_relaxed);
-  phase.store(1, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  phase.store(2, std::memory_order_release);
-  const double elapsed = run_timer.ElapsedSeconds();
+  for (size_t p = 0; p < num_phases; ++p) {
+    Timer phase_timer;
+    if (p > 0 || warmup_seconds > 0) {
+      phase_start_ns[p].store(NowNanos(), std::memory_order_relaxed);
+      stage.store(p + 1, std::memory_order_release);
+    }
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(phases[p].seconds));
+    results[p].seconds = phase_timer.ElapsedSeconds();
+  }
+  stage.store(stop_stage, std::memory_order_release);
   for (auto& w : workers) w.join();
 
-  DriverResult result;
-  result.seconds = elapsed;
-  for (const auto& s : stats) {
-    result.committed += s.committed;
-    result.aborted += s.aborted;
-    result.latency_ns.Merge(s.latency);
+  for (size_t p = 0; p < num_phases; ++p) {
+    DriverResult& r = results[p];
+    r.name = phases[p].name;
+    for (const auto& s : stats) {
+      r.committed += s.committed[p];
+      r.aborted += s.aborted[p];
+      r.latency_ns.Merge(s.latency[p]);
+    }
+    for (const auto& b : bins[p]) {
+      r.slice_ops_per_sec.push_back(
+          static_cast<double>(b.load(std::memory_order_relaxed)) /
+          slice_seconds);
+    }
   }
-  result.slice_ops_per_sec.reserve(bins.size());
-  for (const auto& b : bins) {
-    result.slice_ops_per_sec.push_back(
-        static_cast<double>(b.load(std::memory_order_relaxed)) /
-        slice_seconds);
+  return results;
+}
+
+}  // namespace
+
+DriverResult WorkloadDriver::Run(int num_threads, double seconds,
+                                 const TxnFn& txn_fn, double warmup_seconds,
+                                 double slice_seconds) {
+  const TxnMachineFactory factory = [&txn_fn] {
+    return std::make_unique<FnMachine>(&txn_fn);
+  };
+  auto r = RunCore(/*bm=*/nullptr, num_threads, /*ring_depth=*/1,
+                   warmup_seconds, {{"", seconds, &factory}}, slice_seconds);
+  return std::move(r[0]);
+}
+
+std::vector<WorkloadDriver::PhaseResult> WorkloadDriver::RunPhased(
+    int num_threads, const std::vector<PhaseSpec>& phases,
+    double slice_seconds) {
+  std::vector<TxnMachineFactory> factories;
+  factories.reserve(phases.size());
+  for (const PhaseSpec& p : phases) {
+    factories.push_back(
+        [fn = &p.fn] { return std::make_unique<FnMachine>(fn); });
   }
-  return result;
+  std::vector<CorePhase> core;
+  for (size_t i = 0; i < phases.size(); ++i) {
+    core.push_back({phases[i].name, phases[i].seconds, &factories[i]});
+  }
+  return RunCore(/*bm=*/nullptr, num_threads, /*ring_depth=*/1,
+                 /*warmup_seconds=*/0, core, std::max(1e-3, slice_seconds));
+}
+
+DriverResult WorkloadDriver::RunInterleaved(BufferManager* bm,
+                                            int num_threads, double seconds,
+                                            int ring_depth,
+                                            const TxnMachineFactory& factory,
+                                            double warmup_seconds,
+                                            double slice_seconds) {
+  auto r = RunCore(bm, num_threads, ring_depth, warmup_seconds,
+                   {{"", seconds, &factory}}, slice_seconds);
+  return std::move(r[0]);
 }
 
 }  // namespace spitfire

@@ -14,11 +14,14 @@
 
 namespace spitfire {
 
-// Result of one timed workload run.
+// Result of one timed workload run (or of one phase of a phased run).
 struct DriverResult {
+  std::string name;  // phase name; empty for single-phase runs
   double seconds = 0;
   uint64_t committed = 0;
   uint64_t aborted = 0;
+  // Begin → commit/abort latency of every counted transaction, parked
+  // time included.
   Histogram latency_ns;
   // Committed txns per second per slice of the measurement window, when
   // the run was invoked with slice_seconds > 0 (throughput over time).
@@ -35,25 +38,29 @@ struct DriverResult {
   std::string ToString() const;
 };
 
-// One page access for the asynchronous driver path below.
-struct PageOp {
-  page_id_t pid = 0;
-  AccessIntent intent = AccessIntent::kRead;
-};
-
-// Multi-threaded closed-loop workload driver: each worker repeatedly calls
-// `txn_fn` (one transaction per call) until the wall-clock duration ends.
-// `txn_fn` returns OK for commit and Aborted for a rolled-back conflict;
-// any other error stops the run.
+// Multi-threaded closed-loop workload driver. Every entry point is a thin
+// wrapper over one execution core: N workers each drive a ring of K
+// TxnMachine slots (each with its own FetchContext) through a schedule of
+// phases — an optional unrecorded warm-up, then one or more measured
+// phases — and finally drain the transactions still in flight. A machine
+// that parks on a buffer miss (WouldBlock) yields its worker to a sibling;
+// a worker whose pass moves nothing reaps I/O completions itself and
+// sleeps only if nothing at all happened.
+//
+// A transaction counts toward the phase it began in, if it finishes
+// before the stop; warm-up and drained transactions are not counted.
+// A machine step returning OK is a commit, any other status an abort.
 class WorkloadDriver {
  public:
+  // One blocking transaction per call: OK = commit, Aborted = rolled-back
+  // conflict. Runs as a one-slot machine that never parks.
   using TxnFn = std::function<Status(Xoshiro256&)>;
-  using PageOpFn = std::function<PageOp(Xoshiro256&)>;
 
   // Runs `txn_fn` on `num_threads` workers for `seconds`, after running it
   // for `warmup_seconds` without recording. With slice_seconds > 0 the
   // measurement window is additionally binned into throughput-over-time
-  // slices (DriverResult::slice_ops_per_sec).
+  // slices. Workers are not async-aware: a miss spins its worker, which is
+  // the blocking K=1 baseline the interleaved executor is measured against.
   static DriverResult Run(int num_threads, double seconds, const TxnFn& txn_fn,
                           double warmup_seconds = 0.0,
                           double slice_seconds = 0.0);
@@ -65,58 +72,24 @@ class WorkloadDriver {
     double seconds = 1.0;
     TxnFn fn;
   };
-
-  // Per-phase outcome, with throughput-over-time resolution: committed ops
-  // are binned into `slice_seconds` slices so transitions (e.g. the
-  // post-scan recovery of a point-lookup phase) are visible inside a
-  // phase, not just across phases.
-  struct PhaseResult {
-    std::string name;
-    double seconds = 0;
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    std::vector<double> slice_ops_per_sec;
-
-    double Throughput() const {
-      return seconds > 0 ? static_cast<double>(committed) / seconds : 0.0;
-    }
-  };
+  using PhaseResult = DriverResult;
 
   // Runs the phases back to back on `num_threads` workers (no warm-up;
   // make the first phase the warm-up if one is needed). Workers observe
-  // the phase switch at their next transaction boundary.
+  // the phase switch at their next transaction boundary. Each phase's
+  // committed ops are binned into `slice_seconds` slices so transitions
+  // (e.g. the post-scan recovery of a point-lookup phase) are visible
+  // inside a phase, not just across phases.
   static std::vector<PhaseResult> RunPhased(
       int num_threads, const std::vector<PhaseSpec>& phases,
       double slice_seconds = 0.1);
 
-  // Async-aware page-op driver: each worker keeps up to `ring_depth` fetch
-  // tickets in flight through BufferManager::SubmitFetch instead of
-  // blocking one miss at a time, harvesting completions from its ring and
-  // sleeping in PumpIo only when the ring is full with nothing ready.
-  // This is the path that converts device queue depth into throughput: a
-  // worker's misses overlap in the SSD's queues while it keeps submitting.
-  // Each harvested op counts as one committed "transaction"; latency is
-  // submit → completion. Busy completions are resubmitted a few times,
-  // then counted as aborted. `ring_depth` ≤ 1 degenerates to the blocking
-  // behavior of FetchPage (submit, then drain that one ticket).
-  static DriverResult RunAsyncPageOps(BufferManager* bm, int num_threads,
-                                      double seconds, int ring_depth,
-                                      const PageOpFn& op_fn,
-                                      double warmup_seconds = 0.0);
-
-  // Interleaved transaction executor (the tentpole of the interleaved-
-  // execution issue): each worker drives a ring of `ring_depth` TxnMachine
-  // continuations over the async miss path. A machine that parks on a
-  // buffer miss (WouldBlock) yields its worker to a sibling; the worker
-  // harvests fired FetchContexts each pass and resumes the parked
-  // machines, converting per-transaction miss stalls into device queue
-  // depth exactly as RunAsyncPageOps does for raw page ops. `factory` is
-  // invoked ring_depth times per worker. ring_depth <= 1 still runs
-  // through the machinery (one machine, parking and resuming serially) —
-  // use Run() with the blocking procedure for the true K=1 baseline.
-  // Latency is begin → commit/abort, parked time included. At the end of
-  // the run, in-flight transactions are stepped to completion (drained),
-  // not cancelled.
+  // Interleaved executor: each worker drives a ring of `ring_depth`
+  // machines from `factory` (called once per slot per worker) over the
+  // async miss path of `bm`, converting per-transaction miss stalls into
+  // device queue depth. ring_depth <= 1 still parks and resumes through
+  // the ring — use Run() with the blocking procedure for the true K=1
+  // baseline.
   static DriverResult RunInterleaved(BufferManager* bm, int num_threads,
                                      double seconds, int ring_depth,
                                      const TxnMachineFactory& factory,

@@ -166,6 +166,19 @@ TEST(HistogramTest, PercentileMonotonic) {
   EXPECT_LE(h.Percentile(50), h.Percentile(99));
 }
 
+// Percentiles come from log-linear buckets (~3% relative error at most),
+// not power-of-two bucket bounds, and a small p never reports a value
+// below the smallest sample.
+TEST(HistogramTest, PercentilesAreLogLinearAccurate) {
+  Histogram h;
+  Xoshiro256 rng(11);
+  for (int i = 0; i < 10000; ++i) h.Add(1000 + rng.NextUint64(1000));
+  EXPECT_NEAR(static_cast<double>(h.Percentile(50)), 1500.0, 45.0);
+  EXPECT_NEAR(static_cast<double>(h.Percentile(99)), 1990.0, 60.0);
+  EXPECT_GE(h.Percentile(0.001), h.min());
+  EXPECT_LE(h.Percentile(100), h.max());
+}
+
 TEST(TimerTest, MeasuresElapsed) {
   Timer t;
   SpinWaitNanos(1000000);  // 1 ms

@@ -453,30 +453,5 @@ TEST_F(IoSchedulerTest, ReadAheadInstallRacesSynchronousWaiter) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-// The scheduler-off configuration is the seed behavior; everything must
-// still work (and the scheduler accessor reports null).
-TEST_F(IoSchedulerTest, DisabledSchedulerFallsBackToSyncIo) {
-  SeedColdPages(8);
-  BufferManagerOptions opt;
-  opt.dram_frames = 4;
-  opt.nvm_frames = 4;
-  opt.policy = MigrationPolicy::Eager();
-  opt.ssd = ssd_.get();
-  opt.enable_io_scheduler = false;
-  BufferManager bm(opt);
-  bm.SetNextPageId(8);
-  EXPECT_EQ(bm.io_scheduler(), nullptr);
-
-  for (page_id_t pid = 0; pid < 8; ++pid) {
-    auto r = bm.FetchPage(pid, AccessIntent::kRead);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    PageGuard g = r.MoveValue();
-    uint64_t v = 0;
-    ASSERT_TRUE(g.ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
-    EXPECT_EQ(v, Stamp(pid));
-  }
-  ASSERT_TRUE(bm.FlushAll(true).ok());
-}
-
 }  // namespace
 }  // namespace spitfire

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+
+#include "common/timer.h"
 #include "storage/perf_model.h"
 #include "workload/driver.h"
 #include "workload/tpcc.h"
@@ -66,6 +72,75 @@ TEST_F(WorkloadTest, DriverRunsMultiThreaded) {
   EXPECT_GT(res.committed, 100u);
   EXPECT_GT(res.Throughput(), 0.0);
   EXPECT_LT(res.AbortRate(), 0.5);
+}
+
+// RunPhased runs its phases back to back, in order, and reports each
+// phase's own counts and throughput slices.
+TEST_F(WorkloadTest, RunPhasedRunsPhasesInOrderWithSlices) {
+  constexpr int kPhases = 3;
+  std::atomic<uint64_t> first_call_ns[kPhases] = {};
+  std::vector<WorkloadDriver::PhaseSpec> phases;
+  for (int i = 0; i < kPhases; ++i) {
+    phases.push_back({"phase" + std::to_string(i), 0.2,
+                      [&first_call_ns, i](Xoshiro256&) {
+                        uint64_t unset = 0;
+                        first_call_ns[i].compare_exchange_strong(unset,
+                                                                 NowNanos());
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(100));
+                        return Status::OK();
+                      }});
+  }
+  const auto results =
+      WorkloadDriver::RunPhased(2, phases, /*slice_seconds=*/0.05);
+  ASSERT_EQ(results.size(), static_cast<size_t>(kPhases));
+  for (int i = 0; i < kPhases; ++i) {
+    const auto& r = results[i];
+    EXPECT_EQ(r.name, phases[i].name);
+    EXPECT_GT(r.committed, 0u) << r.name;
+    EXPECT_EQ(r.aborted, 0u) << r.name;
+    EXPECT_GE(r.seconds, 0.2) << r.name;
+    // 0.2 s in 0.05 s slices: four bins plus one for the boundary.
+    ASSERT_EQ(r.slice_ops_per_sec.size(), 5u) << r.name;
+    double sliced = 0;
+    for (double v : r.slice_ops_per_sec) sliced += v * 0.05;
+    EXPECT_NEAR(sliced, static_cast<double>(r.committed), 0.5) << r.name;
+    if (i > 0) {
+      EXPECT_GT(first_call_ns[i].load(), first_call_ns[i - 1].load());
+    }
+  }
+}
+
+// Transactions run during the warm-up are not counted: with a 0.3 s
+// warm-up and a 0.1 s window, most calls happen before measurement.
+TEST_F(WorkloadTest, WarmUpTransactionsAreNotCounted) {
+  std::atomic<uint64_t> calls{0};
+  DriverResult res = WorkloadDriver::Run(
+      1, 0.1,
+      [&](Xoshiro256&) {
+        calls.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return Status::OK();
+      },
+      /*warmup_seconds=*/0.3);
+  EXPECT_GT(res.committed, 0u);
+  EXPECT_LT(res.committed * 2, calls.load());
+  EXPECT_EQ(res.latency_ns.count(), res.committed + res.aborted);
+}
+
+// A ring run parks transactions on misses; the end-of-run drain steps
+// every one of them to completion, so no frame stays pinned.
+TEST_F(WorkloadTest, RingRunDrainsToZeroPinnedFrames) {
+  auto db = Database::Create(Opts()).MoveValue();
+  YcsbWorkload ycsb(db.get(), YcsbConfig::Balanced(4000));  // spills DRAM
+  ASSERT_TRUE(ycsb.Load().ok());
+  DriverResult res = WorkloadDriver::RunInterleaved(
+      db->buffer_manager(), 2, 0.3, /*ring_depth=*/8,
+      [&] { return std::make_unique<YcsbTxnMachine>(&ycsb); });
+  EXPECT_GT(res.committed, 0u);
+  const auto census = db->buffer_manager()->DebugDramCensus();
+  EXPECT_EQ(census.pinned, 0u);
+  EXPECT_EQ(census.total_pins, 0u);
 }
 
 class TpccTest : public WorkloadTest {
