@@ -100,7 +100,7 @@ void BM_BTreeLookup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BTreeLookup)->Threads(1)->Threads(2);
+BENCHMARK(BM_BTreeLookup)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_NvmLogAppend(benchmark::State& state) {
   LatencySimulator::SetScale(0.0);

@@ -67,6 +67,12 @@ class BufferManager {
     return ShardFor(pid)->SubmitFetch(pid, intent, t);
   }
 
+  // Pin-free read of a full DRAM frame (see BufferShard::ReadOptimistic).
+  bool ReadOptimistic(page_id_t pid, AccessIntent intent,
+                      OptimisticRead* out) {
+    return ShardFor(pid)->ReadOptimistic(pid, intent, out);
+  }
+
   // Runs due I/O completions on the calling thread (shared scheduler).
   bool PumpIo(bool may_sleep) { return io_->PumpCompletions(may_sleep); }
 

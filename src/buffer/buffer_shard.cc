@@ -227,6 +227,36 @@ bool BufferShard::TryPinNvm(SharedPageDescriptor* d) {
   return true;
 }
 
+bool BufferShard::ReadOptimistic(page_id_t pid, AccessIntent intent,
+                                 OptimisticRead* out) {
+  if (dram_pool_ == nullptr) return false;
+  SharedPageDescriptor* d = descriptors_.Find(pid);
+  if (d == nullptr) return false;
+  const uint64_t w = d->dram.word.load(std::memory_order_acquire);
+  if (TierState::ModeOf(w) != DramMode::kFull) return false;
+  // An evictor that retired the copy after our sample stores
+  // kInvalidFrameId here; the epoch check would reject the read, but only
+  // after the pool had been indexed with it.
+  const frame_id_t f = d->dram.frame.load(std::memory_order_acquire);
+  if (f >= dram_pool_->num_frames()) return false;
+  // The same bookkeeping as a pinned DRAM hit (SubmitFetch, TryPinDram).
+  if (intent == AccessIntent::kWrite) {
+    stats_.Add(BufferCounter::kWriteFetches);
+  }
+  NoteChainAccess(pid);
+  stats_.Add(BufferCounter::kDramHits);
+  if (ShouldSampleAccess()) {
+    // If the copy was just evicted this marks the frame's next owner; as
+    // with a stale mini_id in TryPinDram, a stray reference is benign.
+    stats_.Add(BufferCounter::kReplacerSampled);
+    dram_pool_->ReplacerRecordAccess(f);
+  }
+  out->desc = d;
+  out->data = dram_pool_->FramePtr(f);
+  out->word = w;
+  return true;
+}
+
 void BufferShard::Unpin(SharedPageDescriptor* d, Tier tier) {
   if (tier == Tier::kDram) {
     d->dram.Unpin();

@@ -193,6 +193,21 @@ class PageGuard {
   Tier tier_ = Tier::kDram;
 };
 
+// A pin-free view of a page's full DRAM frame, from
+// BufferManager::ReadOptimistic. Nothing keeps the frame in place: bytes
+// read through `data` may belong to another page by the time they are
+// read, so they are only meaningful once Validate() returns true after
+// the reads. Validate() proves only that the frame still held this page;
+// a guard holder may have written it meanwhile, so callers also need a
+// content check of their own (the B+Tree's OLC version).
+struct OptimisticRead {
+  SharedPageDescriptor* desc = nullptr;
+  std::byte* data = nullptr;
+  uint64_t word = 0;  // the DRAM state word sampled with `data`
+
+  bool Validate() const { return desc->dram.ValidateSample(word); }
+};
+
 // One asynchronous fetch continuation. The caller owns the ticket (stack
 // or slot storage both work) and submits it with BufferManager::SubmitFetch;
 // the miss completion installs the page, pins it, fills in `guard`/`status`
@@ -281,6 +296,14 @@ class BufferShard {
   // `ready` reads true, and drives progress by calling PumpIo (or any
   // other FetchPage/SubmitFetch activity) between polls.
   FetchSubmit SubmitFetch(page_id_t pid, AccessIntent intent, FetchTicket* t);
+
+  // Pin-free read of a page whose DRAM copy is a full frame: fills *out
+  // and returns true without writing the page's descriptor. Counts and
+  // samples the access exactly like a pinned DRAM hit. Returns false (and
+  // counts nothing) for anything else — NVM copies, cache-line-grained or
+  // mini copies, misses — which the caller fetches with a pin instead.
+  bool ReadOptimistic(page_id_t pid, AccessIntent intent,
+                      OptimisticRead* out);
 
   // Runs due I/O completions on the calling thread. With may_sleep, waits
   // briefly (marking this thread async-aware: simulated device waits then

@@ -55,10 +55,16 @@ enum class DramMode : uint8_t {
 //   page back) and fails if a concurrent TryPin sneaked in — pin-takers
 //   and the evictor race on the same word, so neither can miss the other.
 // * Publish / mode changes happen only under the tier latch.
+// * An optimistic reader (BufferShard::ReadOptimistic) takes no pin: it
+//   samples the word, reads `frame` and the bytes, and then checks with
+//   ValidateSample that mode and epoch are unchanged. It must bounds-check
+//   `frame` before using it — an evictor stores kInvalidFrameId there
+//   after the retire.
 //
 // All remaining per-tier fields (`frame`, `dirty`) are written on the slow
 // path before the word publishes the copy, and read by fast-path holders
-// only while they hold a pin.
+// only while they hold a pin (or, for `frame`, by optimistic readers that
+// validate afterwards).
 struct TierState {
   static constexpr uint64_t kPinsMask = 0xFFFFull;
   static constexpr int kModeShift = 16;
@@ -147,6 +153,17 @@ struct TierState {
         return;
       }
     }
+  }
+
+  // Pin-free optimistic read: `sample` is a word loaded (acquire) while
+  // the copy was resident. True iff the copy has not been retired or
+  // switched mode since — only pins may have come and gone. Every retire
+  // bumps the epoch, so a frame that was freed (and maybe reused) in
+  // between fails this check; bytes read from it must then be discarded.
+  bool ValidateSample(uint64_t sample) const {
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return ((word.load(std::memory_order_relaxed) ^ sample) & ~kPinsMask) ==
+           0;
   }
 
   DramMode Mode() const {

@@ -192,18 +192,23 @@ Status Table::Read(Transaction* txn, uint64_t key, void* out) {
       if (!own) {
         // MVTO bookkeeping: advance read_ts to our timestamp. This dirties
         // the page — the metadata writes Section 6.4 mentions.
-        uint64_t cur =
-            AtomicField(ref.hdr->read_ts).load(std::memory_order_relaxed);
+        uint64_t cur = AtomicField(ref.hdr->read_ts).load();
         bool bumped = false;
         while (cur < txn->ts()) {
-          if (AtomicField(ref.hdr->read_ts)
-                  .compare_exchange_weak(cur, txn->ts(),
-                                         std::memory_order_acq_rel)) {
+          if (AtomicField(ref.hdr->read_ts).compare_exchange_weak(cur,
+                                                                  txn->ts())) {
             bumped = true;
             break;
           }
         }
         if (bumped) ref.guard.MarkDirty();
+        // The other half of WriteInternal's claim-then-check: an older
+        // writer that claimed this version before our read_ts landed
+        // did not see it, so we must see the claim.
+        const uint64_t claim = AtomicField(ref.hdr->writer).load();
+        if (claim != 0 && claim != txn->id() && claim < txn->ts()) {
+          return Status::Aborted("older write in flight");
+        }
       }
       if (ref.hdr->flags & kFlagTombstone) {
         // The key was deleted as of this snapshot. (read_ts was still
@@ -280,15 +285,19 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
     // Insert-over-tombstone raced with a normal re-insert: duplicate.
     return Status::InvalidArgument("duplicate key");
   }
-  if (AtomicField(ref.hdr->read_ts).load(std::memory_order_acquire) >
-      txn->ts()) {
-    return Status::Aborted("version read by younger transaction");
-  }
+  // Claim first, then check read_ts; Read raises read_ts first, then
+  // re-checks the claim. All four are seq_cst, so of a writer and a
+  // younger reader racing on this version at least one sees the other.
+  // Checked the other way round, a reader could slip in between and read
+  // the value this write is about to supersede under an older timestamp.
   uint64_t expected = 0;
-  if (!AtomicField(ref.hdr->writer)
-           .compare_exchange_strong(expected, txn->id(),
-                                    std::memory_order_acq_rel)) {
+  if (!AtomicField(ref.hdr->writer).compare_exchange_strong(expected,
+                                                            txn->id())) {
     return Status::Aborted("lost write race");
+  }
+  if (AtomicField(ref.hdr->read_ts).load() > txn->ts()) {
+    AtomicField(ref.hdr->writer).store(0, std::memory_order_release);
+    return Status::Aborted("version read by younger transaction");
   }
   // Re-validate the head: a concurrent committer may have replaced it
   // between our index lookup and the lock.

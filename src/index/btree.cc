@@ -139,70 +139,120 @@ Result<BTree*> BTree::Open(BufferManager* bm, page_id_t meta_pid) {
 }
 
 // ---------------------------------------------------------------------------
-// Lookup (optimistic)
+// Descent (optimistic, pin-free where the node has a full DRAM frame)
+// ---------------------------------------------------------------------------
+
+// One node on a descent: read through `opt` without a pin, or pinned by
+// `guard`. `data` points at the node's page either way.
+struct BTree::NodeRef {
+  page_id_t pid = kInvalidPageId;
+  SharedPageDescriptor* desc = nullptr;
+  std::byte* data = nullptr;
+  uint64_t version = 0;
+  OptimisticRead opt;
+  PageGuard guard;
+
+  bool pinned() const { return guard.valid(); }
+  // Whether everything read from `data` so far holds: no writer touched
+  // the node, and an unpinned frame still holds it.
+  bool Validate() const {
+    return desc->version_latch.Validate(version) &&
+           (pinned() || opt.Validate());
+  }
+};
+
+Status BTree::OpenNode(page_id_t pid, AccessIntent intent, bool pin,
+                       FetchContext* ctx, NodeRef* node) const {
+  node->pid = pid;
+  if (!pin && bm_->ReadOptimistic(pid, intent, &node->opt)) {
+    node->desc = node->opt.desc;
+    node->data = node->opt.data;
+  } else {
+    auto g_r = FetchPageVia(bm_, ctx, pid, intent);
+    if (!g_r.ok()) {
+      // A parked miss must escape the restart loop: the caller unwinds to
+      // its scheduler and re-enters the operation once the fetch fires.
+      if (g_r.status().IsWouldBlock()) return g_r.status();
+      return Status::Busy("fetch");
+    }
+    node->guard = g_r.MoveValue();
+    node->desc = node->guard.descriptor();
+    node->data = node->guard.RawData();
+    if (node->data == nullptr) return Status::Busy("frame");
+  }
+  node->version = node->desc->version_latch.ReadLockOrRestart();
+  if (node->version == OptimisticLatch::kRetry) {
+    return Status::Busy("node latched");
+  }
+  return Status::OK();
+}
+
+Status BTree::DescendToLeaf(uint64_t key, AccessIntent intent,
+                            bool pin_leaf, FetchContext* ctx,
+                            NodeRef* leaf) const {
+  // A root split stores height_ before root_ (release), so the height
+  // read after the root is at least as new as the root.
+  const page_id_t root = LoadRoot();
+  const bool root_is_leaf = height_.load(std::memory_order_relaxed) == 1;
+  NodeRef node;
+  SPITFIRE_RETURN_NOT_OK(
+      OpenNode(root, intent, pin_leaf && root_is_leaf, ctx, &node));
+  if (LoadRoot() != root) return Status::Busy("root changed");
+  for (;;) {
+    bool is_leaf;
+    bool child_is_leaf = false;
+    page_id_t child = kInvalidPageId;
+    {
+      const RacyReadScope racy;
+      const NodeView view(node.data);
+      is_leaf = view.IsLeaf();
+      if (!is_leaf) {
+        child_is_leaf = view.hdr()->level == 1;
+        child = view.children()[view.ChildIndex(key)];
+      }
+    }
+    if (is_leaf) {
+      // An old root read with a newer height: the restart reloads both.
+      if (pin_leaf && !node.pinned()) return Status::Busy("leaf unpinned");
+      *leaf = std::move(node);
+      return Status::OK();
+    }
+    if (!node.Validate()) return Status::Busy("node changed");
+    NodeRef next;
+    SPITFIRE_RETURN_NOT_OK(
+        OpenNode(child, intent, pin_leaf && child_is_leaf, ctx, &next));
+    if (!node.Validate()) return Status::Busy("parent changed");
+    node = std::move(next);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lookup
 // ---------------------------------------------------------------------------
 
 Status BTree::Lookup(uint64_t key, uint64_t* value,
                      FetchContext* ctx) const {
   for (int restart = 0; restart < 1000000; ++restart) {
     if ((restart & 63) == 63) std::this_thread::yield();
-    page_id_t pid = LoadRoot();
-    auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kRead);
-    if (!g_r.ok()) {
-      // A parked miss must escape the restart loop: the caller unwinds to
-      // its scheduler and re-enters Lookup once the fetch fires.
-      if (g_r.status().IsWouldBlock()) return g_r.status();
-      continue;
+    NodeRef leaf;
+    const Status st =
+        DescendToLeaf(key, AccessIntent::kRead, /*pin_leaf=*/false, ctx,
+                      &leaf);
+    if (st.IsWouldBlock()) return st;
+    if (!st.ok()) continue;
+    bool found;
+    uint64_t v = 0;
+    {
+      const RacyReadScope racy;
+      const NodeView node(leaf.data);
+      const uint32_t pos = node.LeafLowerBound(key);
+      found = pos < node.SafeCount() && node.keys()[pos] == key;
+      if (found) v = node.values()[pos];
     }
-    PageGuard guard = g_r.MoveValue();
-    uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry || LoadRoot() != pid) continue;
-
-    bool failed = false;
-    for (;;) {
-      std::byte* raw = guard.RawData();
-      if (raw == nullptr) {
-        failed = true;
-        break;
-      }
-      NodeView node(raw);
-      if (node.IsLeaf()) {
-        const uint32_t pos = node.LeafLowerBound(key);
-        const bool found =
-            pos < node.SafeCount() && node.keys()[pos] == key;
-        uint64_t v = found ? node.values()[pos] : 0;
-        if (!guard.descriptor()->version_latch.Validate(version)) {
-          failed = true;
-          break;
-        }
-        if (!found) return Status::NotFound("key");
-        *value = v;
-        return Status::OK();
-      }
-      const uint32_t idx = node.ChildIndex(key);
-      const page_id_t child = node.children()[idx];
-      if (!guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      auto c_r = FetchPageVia(bm_, ctx, child, AccessIntent::kRead);
-      if (!c_r.ok()) {
-        if (c_r.status().IsWouldBlock()) return c_r.status();
-        failed = true;
-        break;
-      }
-      PageGuard cguard = c_r.MoveValue();
-      const uint64_t cversion =
-          cguard.descriptor()->version_latch.ReadLockOrRestart();
-      if (cversion == OptimisticLatch::kRetry ||
-          !guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      guard = std::move(cguard);
-      version = cversion;
-    }
-    if (failed) continue;
+    if (!leaf.Validate()) continue;
+    if (!found) return Status::NotFound("key");
+    *value = v;
+    return Status::OK();
   }
   return Status::Busy("btree lookup retry budget exhausted");
 }
@@ -240,74 +290,40 @@ Status BTree::InsertImpl(uint64_t key, uint64_t value, bool upsert,
 Status BTree::OptimisticInsert(uint64_t key, uint64_t value, bool upsert,
                                bool* need_split, FetchContext* ctx) {
   *need_split = false;
-  const page_id_t pid = LoadRoot();
-  auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kWrite);
-  if (!g_r.ok()) {
-    if (g_r.status().IsWouldBlock()) return g_r.status();
-    return Status::Busy("fetch");
+  NodeRef ref;
+  SPITFIRE_RETURN_NOT_OK(
+      DescendToLeaf(key, AccessIntent::kWrite, /*pin_leaf=*/true, ctx, &ref));
+  // Take the leaf latch for real.
+  OptimisticLatch& latch = ref.desc->version_latch;
+  if (!latch.UpgradeToWriteLock(ref.version)) {
+    return Status::Busy("upgrade failed");
   }
-  PageGuard guard = g_r.MoveValue();
-  uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-  if (version == OptimisticLatch::kRetry || LoadRoot() != pid) {
-    return Status::Busy("root changed");
+  NodeView leaf(ref.guard.RawData(/*for_write=*/true));
+  const uint32_t n = leaf.hdr()->count;
+  const uint32_t pos = leaf.LeafLowerBound(key);
+  if (pos < n && leaf.keys()[pos] == key) {
+    if (!upsert) {
+      latch.WriteUnlockNoBump();
+      return Status::InvalidArgument("duplicate key");
+    }
+    leaf.values()[pos] = value;
+    latch.WriteUnlock();
+    return Status::OK();
   }
-
-  for (;;) {
-    std::byte* raw = guard.RawData();
-    if (raw == nullptr) return Status::Busy("frame");
-    NodeView node(raw);
-    if (node.IsLeaf()) {
-      // Take the leaf latch for real.
-      if (!guard.descriptor()->version_latch.UpgradeToWriteLock(version)) {
-        return Status::Busy("upgrade failed");
-      }
-      NodeView leaf(guard.RawData(/*for_write=*/true));
-      const uint32_t n = leaf.hdr()->count;
-      const uint32_t pos = leaf.LeafLowerBound(key);
-      if (pos < n && leaf.keys()[pos] == key) {
-        if (!upsert) {
-          guard.descriptor()->version_latch.WriteUnlockNoBump();
-          return Status::InvalidArgument("duplicate key");
-        }
-        leaf.values()[pos] = value;
-        guard.descriptor()->version_latch.WriteUnlock();
-        return Status::OK();
-      }
-      if (n >= kLeafCapacity) {
-        guard.descriptor()->version_latch.WriteUnlockNoBump();
-        *need_split = true;
-        return Status::Busy("leaf full");
-      }
-      std::memmove(leaf.keys() + pos + 1, leaf.keys() + pos,
-                   (n - pos) * sizeof(uint64_t));
-      std::memmove(leaf.values() + pos + 1, leaf.values() + pos,
-                   (n - pos) * sizeof(uint64_t));
-      leaf.keys()[pos] = key;
-      leaf.values()[pos] = value;
-      leaf.hdr()->count = n + 1;
-      guard.descriptor()->version_latch.WriteUnlock();
-      return Status::OK();
-    }
-    const uint32_t idx = node.ChildIndex(key);
-    const page_id_t child = node.children()[idx];
-    if (!guard.descriptor()->version_latch.Validate(version)) {
-      return Status::Busy("parent changed");
-    }
-    auto c_r = FetchPageVia(bm_, ctx, child, AccessIntent::kWrite);
-    if (!c_r.ok()) {
-      if (c_r.status().IsWouldBlock()) return c_r.status();
-      return Status::Busy("fetch child");
-    }
-    PageGuard cguard = c_r.MoveValue();
-    const uint64_t cversion =
-        cguard.descriptor()->version_latch.ReadLockOrRestart();
-    if (cversion == OptimisticLatch::kRetry ||
-        !guard.descriptor()->version_latch.Validate(version)) {
-      return Status::Busy("child changed");
-    }
-    guard = std::move(cguard);
-    version = cversion;
+  if (n >= kLeafCapacity) {
+    latch.WriteUnlockNoBump();
+    *need_split = true;
+    return Status::Busy("leaf full");
   }
+  std::memmove(leaf.keys() + pos + 1, leaf.keys() + pos,
+               (n - pos) * sizeof(uint64_t));
+  std::memmove(leaf.values() + pos + 1, leaf.values() + pos,
+               (n - pos) * sizeof(uint64_t));
+  leaf.keys()[pos] = key;
+  leaf.values()[pos] = value;
+  leaf.hdr()->count = n + 1;
+  latch.WriteUnlock();
+  return Status::OK();
 }
 
 // Write-latch coupling from the root; ancestors stay latched only while
@@ -574,68 +590,28 @@ Status BTree::PessimisticInsert(uint64_t key, uint64_t value, bool upsert) {
 Status BTree::Remove(uint64_t key, FetchContext* ctx) {
   for (int restart = 0; restart < 1000000; ++restart) {
     if ((restart & 63) == 63) std::this_thread::yield();
-    page_id_t pid = LoadRoot();
-    auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kWrite);
-    if (!g_r.ok()) {
-      if (g_r.status().IsWouldBlock()) return g_r.status();
-      continue;
+    NodeRef ref;
+    const Status st =
+        DescendToLeaf(key, AccessIntent::kWrite, /*pin_leaf=*/true, ctx,
+                      &ref);
+    if (st.IsWouldBlock()) return st;
+    if (!st.ok()) continue;
+    OptimisticLatch& latch = ref.desc->version_latch;
+    if (!latch.UpgradeToWriteLock(ref.version)) continue;
+    NodeView leaf(ref.guard.RawData(/*for_write=*/true));
+    const uint32_t n = leaf.hdr()->count;
+    const uint32_t pos = leaf.LeafLowerBound(key);
+    if (pos >= n || leaf.keys()[pos] != key) {
+      latch.WriteUnlockNoBump();
+      return Status::NotFound("key");
     }
-    PageGuard guard = g_r.MoveValue();
-    uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry || LoadRoot() != pid) continue;
-
-    bool failed = false;
-    for (;;) {
-      std::byte* raw = guard.RawData();
-      if (raw == nullptr) {
-        failed = true;
-        break;
-      }
-      NodeView node(raw);
-      if (node.IsLeaf()) {
-        if (!guard.descriptor()->version_latch.UpgradeToWriteLock(version)) {
-          failed = true;
-          break;
-        }
-        NodeView leaf(guard.RawData(/*for_write=*/true));
-        const uint32_t n = leaf.hdr()->count;
-        const uint32_t pos = leaf.LeafLowerBound(key);
-        if (pos >= n || leaf.keys()[pos] != key) {
-          guard.descriptor()->version_latch.WriteUnlockNoBump();
-          return Status::NotFound("key");
-        }
-        std::memmove(leaf.keys() + pos, leaf.keys() + pos + 1,
-                     (n - pos - 1) * sizeof(uint64_t));
-        std::memmove(leaf.values() + pos, leaf.values() + pos + 1,
-                     (n - pos - 1) * sizeof(uint64_t));
-        leaf.hdr()->count = n - 1;
-        guard.descriptor()->version_latch.WriteUnlock();
-        return Status::OK();
-      }
-      const uint32_t idx = node.ChildIndex(key);
-      const page_id_t child = node.children()[idx];
-      if (!guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      auto c_r = FetchPageVia(bm_, ctx, child, AccessIntent::kWrite);
-      if (!c_r.ok()) {
-        if (c_r.status().IsWouldBlock()) return c_r.status();
-        failed = true;
-        break;
-      }
-      PageGuard cguard = c_r.MoveValue();
-      const uint64_t cversion =
-          cguard.descriptor()->version_latch.ReadLockOrRestart();
-      if (cversion == OptimisticLatch::kRetry ||
-          !guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      guard = std::move(cguard);
-      version = cversion;
-    }
-    if (failed) continue;
+    std::memmove(leaf.keys() + pos, leaf.keys() + pos + 1,
+                 (n - pos - 1) * sizeof(uint64_t));
+    std::memmove(leaf.values() + pos, leaf.values() + pos + 1,
+                 (n - pos - 1) * sizeof(uint64_t));
+    leaf.hdr()->count = n - 1;
+    latch.WriteUnlock();
+    return Status::OK();
   }
   return Status::Busy("btree remove retry budget exhausted");
 }
@@ -652,55 +628,11 @@ Status BTree::Scan(uint64_t lo, uint64_t hi,
   for (int restart = 0; restart < 1000000 && leaf_pid == kInvalidPageId;
        ++restart) {
     if ((restart & 63) == 63) std::this_thread::yield();
-    page_id_t pid = LoadRoot();
-    auto g_r = FetchPageVia(bm_, ctx, pid, AccessIntent::kRead);
-    if (!g_r.ok()) {
-      if (g_r.status().IsWouldBlock()) return g_r.status();
-      continue;
-    }
-    PageGuard guard = g_r.MoveValue();
-    uint64_t version = guard.descriptor()->version_latch.ReadLockOrRestart();
-    if (version == OptimisticLatch::kRetry || LoadRoot() != pid) continue;
-    bool failed = false;
-    for (;;) {
-      std::byte* raw = guard.RawData();
-      if (raw == nullptr) {
-        failed = true;
-        break;
-      }
-      NodeView node(raw);
-      if (node.IsLeaf()) {
-        if (!guard.descriptor()->version_latch.Validate(version)) {
-          failed = true;
-        } else {
-          leaf_pid = guard.pid();
-        }
-        break;
-      }
-      const uint32_t idx = node.ChildIndex(lo);
-      const page_id_t child = node.children()[idx];
-      if (!guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      auto c_r = FetchPageVia(bm_, ctx, child, AccessIntent::kRead);
-      if (!c_r.ok()) {
-        if (c_r.status().IsWouldBlock()) return c_r.status();
-        failed = true;
-        break;
-      }
-      PageGuard cguard = c_r.MoveValue();
-      const uint64_t cversion =
-          cguard.descriptor()->version_latch.ReadLockOrRestart();
-      if (cversion == OptimisticLatch::kRetry ||
-          !guard.descriptor()->version_latch.Validate(version)) {
-        failed = true;
-        break;
-      }
-      guard = std::move(cguard);
-      version = cversion;
-    }
-    if (failed) leaf_pid = kInvalidPageId;
+    NodeRef leaf;
+    const Status st =
+        DescendToLeaf(lo, AccessIntent::kRead, /*pin_leaf=*/false, ctx, &leaf);
+    if (st.IsWouldBlock()) return st;
+    if (st.ok() && leaf.Validate()) leaf_pid = leaf.pid;
   }
   if (leaf_pid == kInvalidPageId) return Status::Busy("scan descent failed");
 
@@ -728,16 +660,20 @@ Status BTree::Scan(uint64_t lo, uint64_t hi,
       if (raw == nullptr) continue;
       NodeView leaf(raw);
       batch.clear();
-      const uint32_t n = leaf.SafeCount();
-      for (uint32_t i = leaf.LeafLowerBound(lo); i < n; ++i) {
-        const uint64_t k = leaf.keys()[i];
-        if (k > hi) break;
-        batch.emplace_back(k, leaf.values()[i]);
+      bool exhausted;
+      {
+        const RacyReadScope racy;
+        const uint32_t n = leaf.SafeCount();
+        for (uint32_t i = leaf.LeafLowerBound(lo); i < n; ++i) {
+          const uint64_t k = leaf.keys()[i];
+          if (k > hi) break;
+          batch.emplace_back(k, leaf.values()[i]);
+        }
+        next = leaf.hdr()->next_leaf;
+        // Stop once this leaf's key range passes hi; empty leaves
+        // (possible after deletes) just continue the chain.
+        exhausted = n > 0 && leaf.keys()[n - 1] > hi;
       }
-      next = leaf.hdr()->next_leaf;
-      // Stop once this leaf's key range passes hi; empty leaves (possible
-      // after deletes) just continue the chain.
-      const bool exhausted = n > 0 && leaf.keys()[n - 1] > hi;
       if (!guard.descriptor()->version_latch.Validate(version)) continue;
       if (exhausted) next = kInvalidPageId;
       ok_leaf = true;

@@ -33,13 +33,22 @@ namespace spitfire {
 //    still holds the old root write-latched, and every descent re-checks
 //    root_ after sampling the root's version.
 //
-// Node pages are pinned (via PageGuard) for the duration of each node
-// visit, which keeps frames stable; versions detect logical interference.
+// Node reads take no pin when they can avoid it. Every descent goes
+// through one helper (DescendToLeaf): a node whose DRAM copy is a full
+// frame is read through BufferManager::ReadOptimistic, and the read counts
+// only if both the node's version and the DRAM state word it was read
+// under still validate — the latter proves the frame was not evicted or
+// reused underneath. NVM copies, non-full DRAM copies and misses are
+// fetched with a pin, which parks on a FetchContext on a miss. Leaves that
+// an operation writes (Insert/Upsert/Remove) are always pinned: a writer
+// dirties the frame and must keep it in place until it has unlatched. The
+// scan's leaf-chain walk also pins each leaf; it only reads, and could
+// read optimistically too.
 //
 // Note on ThreadSanitizer: optimistic readers race with writers on node
 // bytes BY DESIGN — every optimistically-read value is discarded unless
-// the subsequent version validation succeeds. TSAN flags these accesses;
-// tsan.supp at the repository root suppresses them.
+// the subsequent version validation succeeds. Those reads sit inside a
+// RacyReadScope, which keeps TSan from checking them.
 class BTree {
  public:
   static constexpr uint32_t kMetaPageType = 0xB7EE0001;
@@ -94,6 +103,19 @@ class BTree {
   Status OptimisticInsert(uint64_t key, uint64_t value, bool upsert,
                           bool* need_split, FetchContext* ctx);
   Status PessimisticInsert(uint64_t key, uint64_t value, bool upsert);
+
+  // Opens `pid` for one step of a descent and samples its version: an
+  // optimistic read when `pin` is false and the node has a full DRAM
+  // frame, a pinned fetch through `ctx` otherwise. Returns OK, WouldBlock
+  // (parked on ctx) or Busy (the caller restarts).
+  Status OpenNode(page_id_t pid, AccessIntent intent, bool pin,
+                  FetchContext* ctx, NodeRef* node) const;
+  // Descends from the root to the leaf covering `key`, validating each
+  // inner node before leaving it. Inner nodes are read optimistically
+  // where possible; the leaf is pinned iff `pin_leaf`. On OK, *leaf is
+  // opened but not yet validated. Same statuses as OpenNode.
+  Status DescendToLeaf(uint64_t key, AccessIntent intent, bool pin_leaf,
+                       FetchContext* ctx, NodeRef* leaf) const;
 
   page_id_t LoadRoot() const {
     return root_.load(std::memory_order_acquire);

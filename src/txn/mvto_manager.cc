@@ -5,9 +5,9 @@
 namespace spitfire {
 
 TransactionManager::TransactionManager()
-    : slots_(new std::atomic<timestamp_t>[kMaxActiveTxns]) {
+    : slots_(std::make_unique<SlotArray>()) {
   for (uint32_t i = 0; i < kMaxActiveTxns; ++i) {
-    slots_[i].store(0, std::memory_order_relaxed);
+    slots_->ts[i].store(0, std::memory_order_relaxed);
   }
 }
 
@@ -21,14 +21,25 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
   // reservation may make it temporarily too low, which only delays GC.
   // The CAS/fetch_add/scan all use seq_cst so "reservation before
   // fetch_add" and "dispenser read before slot scan" order globally.
-  thread_local uint32_t hint = 0;
+  //
+  // A thread's first probe starts on a slot line no other thread starts
+  // on (until more than kMaxActiveTxns / kSlotsPerLine threads exist), and
+  // later probes start at the slot it claimed last, which its Finish has
+  // freed unless it runs several transactions at once.
+  static std::atomic<uint32_t> next_line{0};
+  thread_local uint32_t hint =
+      next_line.fetch_add(1, std::memory_order_relaxed) * kSlotsPerLine %
+      kMaxActiveTxns;
   uint32_t slot = kMaxActiveTxns;
   for (;;) {
+    // An earlier dispenser value is a lower bound too. A busy slot costs
+    // only a load: a failed CAS would still take its line exclusive.
+    const timestamp_t reservation = next_ts_.load();
     for (uint32_t probe = 0; probe < kMaxActiveTxns; ++probe) {
       const uint32_t i = (hint + probe) % kMaxActiveTxns;
       timestamp_t expected = 0;
-      const timestamp_t reservation = next_ts_.load();
-      if (slots_[i].compare_exchange_strong(expected, reservation)) {
+      if (slots_->ts[i].load(std::memory_order_relaxed) == 0 &&
+          slots_->ts[i].compare_exchange_strong(expected, reservation)) {
         slot = i;
         break;
       }
@@ -38,11 +49,10 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
     // practice (it means 4096 concurrently open transactions).
     __builtin_ia32_pause();
   }
-  hint = slot + 1;
+  hint = slot;
 
   const timestamp_t ts = next_ts_.fetch_add(1);
-  slots_[slot].store(ts);
-  active_count_.fetch_add(1, std::memory_order_relaxed);
+  slots_->ts[slot].store(ts);
 
   // Transaction ids and timestamps share the dispenser (MVTO assigns a
   // single timestamp per transaction).
@@ -55,8 +65,7 @@ void TransactionManager::Finish(Transaction* txn) {
   const uint32_t slot = txn->active_slot;
   if (slot >= kMaxActiveTxns) return;  // never registered / already finished
   txn->active_slot = UINT32_MAX;
-  slots_[slot].store(0);
-  active_count_.fetch_sub(1, std::memory_order_relaxed);
+  slots_->ts[slot].store(0);
 }
 
 timestamp_t TransactionManager::MinActiveTs() const {
@@ -67,10 +76,18 @@ timestamp_t TransactionManager::MinActiveTs() const {
   const timestamp_t bound = next_ts_.load();
   timestamp_t min = bound;
   for (uint32_t i = 0; i < kMaxActiveTxns; ++i) {
-    const timestamp_t ts = slots_[i].load();
+    const timestamp_t ts = slots_->ts[i].load();
     if (ts != 0) min = std::min(min, ts);
   }
   return min;
+}
+
+uint64_t TransactionManager::active_count() const {
+  uint64_t n = 0;
+  for (uint32_t i = 0; i < kMaxActiveTxns; ++i) {
+    if (slots_->ts[i].load(std::memory_order_relaxed) != 0) ++n;
+  }
+  return n;
 }
 
 void TransactionManager::AdvanceTo(timestamp_t ts) {

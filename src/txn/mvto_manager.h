@@ -20,6 +20,11 @@ namespace spitfire {
 // global serial point under the sharded buffer manager. MinActiveTs()
 // scans the array without locking; see Begin() for why the scan can never
 // overtake a transaction that is mid-Begin.
+//
+// Begin and Finish write only two shared cachelines: the dispenser, which
+// sits on a line of its own, and the caller's slot. Each thread starts
+// probing at a cacheline of slots of its own and reuses the slot it last
+// released, so threads do not write each other's slot lines.
 class TransactionManager {
  public:
   // Upper bound on concurrently active transactions. 4096 slots of 8
@@ -52,18 +57,30 @@ class TransactionManager {
   // recovered ones.
   void AdvanceTo(timestamp_t ts);
 
-  uint64_t active_count() const {
-    return active_count_.load(std::memory_order_relaxed);
-  }
+  // Number of registered transactions, by a slot scan. Racy against
+  // concurrent Begin/Finish, so only meaningful when the caller knows no
+  // transaction is starting or finishing (tests). Nothing on the
+  // transaction path maintains a count: it would be one more shared
+  // cacheline written twice per transaction.
+  uint64_t active_count() const;
 
  private:
-  std::atomic<timestamp_t> next_ts_{1};
+  // Slots per cacheline; a thread's first probe starts on a line boundary.
+  static constexpr uint32_t kSlotsPerLine =
+      kCacheLineSize / sizeof(std::atomic<timestamp_t>);
+
+  // Every Begin writes the dispenser; nothing else lives on its line.
+  alignas(kCacheLineSize) std::atomic<timestamp_t> next_ts_{1};
 
   // One cacheline per slot would burn 256 KB; timestamps are claimed
   // rarely (once per txn) relative to MinActiveTs scans, and the scan
-  // wants density, so plain packed atomics win here.
-  std::unique_ptr<std::atomic<timestamp_t>[]> slots_;
-  std::atomic<uint64_t> active_count_{0};
+  // wants density, so plain packed atomics win here. The array is
+  // cacheline-aligned so each thread's probe start owns a whole line.
+  struct alignas(kCacheLineSize) SlotArray {
+    std::atomic<timestamp_t> ts[kMaxActiveTxns];
+  };
+  // Read by every Begin/Finish, so kept off the dispenser's line.
+  alignas(kCacheLineSize) std::unique_ptr<SlotArray> slots_;
 };
 
 }  // namespace spitfire

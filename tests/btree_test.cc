@@ -364,5 +364,55 @@ TEST_F(BTreeRootSplitTest, LookupsSucceedAcrossRootSplits) {
   ASSERT_EQ(GrowUnderReaders(3, quiet), 0);
 }
 
+// Lookups read DRAM-resident nodes without pinning them, so a node's frame
+// can be evicted, freed and handed to another page in the middle of a
+// read. With 16 frames for a ~60-node tree and the eager policy every
+// lookup migrates nodes up and evicts others. Each read must either
+// validate against a frame that still held its node or restart; it must
+// never index the pool with the invalid frame id an evictor leaves
+// behind, and it must never return a value from the wrong node.
+TEST(BTreeEvictionChurnTest, ConcurrentLookupsWhileNodesAreEvicted) {
+  LatencySimulator::SetScale(0.0);
+  SsdDevice ssd(64ull * 1024 * 1024);
+  BufferManagerOptions opt;
+  opt.dram_frames = 8;
+  opt.nvm_frames = 8;
+  opt.policy = MigrationPolicy::Eager();
+  opt.ssd = &ssd;
+  BufferManager bm(opt);
+  auto r = BTree::Create(&bm);
+  ASSERT_TRUE(r.ok());
+  std::unique_ptr<BTree> tree(r.value());
+  constexpr uint64_t kN = 30000;
+  for (uint64_t k = 0; k < kN; ++k) {
+    ASSERT_TRUE(tree->Insert(k, k ^ 0xF00D).ok()) << k;
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 200000;
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t x = 0x9E3779B97F4A7C15ull * (t + 1);
+      for (int i = 0; i < kLookups; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const uint64_t key = x % kN;
+        uint64_t v = 0;
+        if (!tree->Lookup(key, &v).ok() || v != (key ^ 0xF00D)) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(bm.stats().Snapshot().dram_evictions, 0u);
+  EXPECT_EQ(bm.DebugDramCensus().total_pins, 0u);
+  LatencySimulator::SetScale(1.0);
+}
+
 }  // namespace
 }  // namespace spitfire

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "buffer/buffer_manager.h"
+#include "index/btree.h"
 #include "storage/perf_model.h"
 #include "storage/ssd_device.h"
 
@@ -284,6 +285,55 @@ TEST_F(BufferManagerTest, PinnedPagesAreNotEvicted) {
   uint64_t out = 0;
   ASSERT_TRUE(pinned.ReadAt(256, sizeof(out), &out).ok());
   EXPECT_EQ(out, 0xDEADu);
+}
+
+TEST_F(BufferManagerTest, OptimisticReadIsInvalidatedByEviction) {
+  auto bm = Make(2, 4, MigrationPolicy::Eager());
+  const page_id_t pid = CreatePages(*bm, 1)[0];
+  const uint64_t hits_before = bm->stats().Snapshot().dram_hits;
+  OptimisticRead opt;
+  ASSERT_TRUE(bm->ReadOptimistic(pid, AccessIntent::kRead, &opt));
+  uint64_t v = 0;
+  std::memcpy(&v, opt.data + kPageHeaderSize, sizeof(v));
+  EXPECT_EQ(v, Stamp(pid));
+  EXPECT_TRUE(opt.Validate());
+  EXPECT_EQ(bm->stats().Snapshot().dram_hits, hits_before + 1);
+  EXPECT_EQ(bm->DebugDramCensus().total_pins, 0u);
+
+  // Push the page out of DRAM: the sampled word no longer validates, and
+  // a fresh optimistic read declines the NVM copy.
+  CreatePages(*bm, 8);
+  ASSERT_FALSE(bm->IsDramResident(pid));
+  EXPECT_FALSE(opt.Validate());
+  OptimisticRead again;
+  EXPECT_FALSE(bm->ReadOptimistic(pid, AccessIntent::kRead, &again));
+}
+
+// A Lookup on a DRAM-resident tree pins nothing, yet the buffer counters
+// move exactly as they did when every node visit pinned: one DRAM hit per
+// level, with sampled replacer references.
+TEST_F(BufferManagerTest, BTreeLookupsCountHitsWithoutPinning) {
+  auto bm = Make(256, 0, MigrationPolicy::Eager());
+  auto r = BTree::Create(bm.get());
+  ASSERT_TRUE(r.ok());
+  std::unique_ptr<BTree> tree(r.value());
+  constexpr uint64_t kKeys = 5000;
+  for (uint64_t k = 0; k < kKeys; ++k) ASSERT_TRUE(tree->Insert(k, k).ok());
+  const uint64_t h = tree->height();
+  ASSERT_GE(h, 2u);
+
+  constexpr uint64_t kLookups = 1000;
+  const BufferStatsSnapshot before = bm->stats().Snapshot();
+  for (uint64_t i = 0; i < kLookups; ++i) {
+    uint64_t v = 0;
+    ASSERT_TRUE(tree->Lookup(i * 7 % kKeys, &v).ok());
+    ASSERT_EQ(v, i * 7 % kKeys);
+  }
+  const BufferStatsSnapshot after = bm->stats().Snapshot();
+  EXPECT_EQ(after.dram_hits - before.dram_hits, kLookups * h);
+  EXPECT_EQ(after.ssd_fetches, before.ssd_fetches);
+  EXPECT_GT(after.replacer_sampled, before.replacer_sampled);
+  EXPECT_EQ(bm->DebugDramCensus().total_pins, 0u);
 }
 
 TEST_F(BufferManagerTest, GuardRejectsOutOfRangeAccess) {
