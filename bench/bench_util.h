@@ -312,6 +312,7 @@ struct RunResult {
   double inclusivity = 0;
   uint64_t nvm_media_bytes_written = 0;
   uint64_t ssd_ops = 0;
+  BufferStatsSnapshot buffer;  // warm-up included
 };
 
 inline RunResult RunPoint(const HierarchySpec& spec, const AccessPattern& pat,
@@ -335,6 +336,7 @@ inline RunResult RunPoint(const HierarchySpec& spec, const AccessPattern& pat,
   }
   res.ssd_ops = h.bm->ssd()->stats().num_reads.load() +
                 h.bm->ssd()->stats().num_writes.load();
+  res.buffer = h.bm->stats().Snapshot();
   return res;
 }
 

@@ -7,6 +7,7 @@
 // bytes (I/O amplification: each 64 B request still touches a 256 B media
 // block); 512 B over-fetches.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -22,6 +23,8 @@ int main() {
 
   std::printf("\nYCSB-RO, eager policy, fine-grained loading (ops/s)\n");
   std::printf("%-14s %12s %14s\n", "unit (B)", "ops/s", "unit loads/op");
+  // One JSON line per granularity, printed after the table.
+  std::vector<JsonLine> json;
   for (uint32_t g : grans) {
     HierarchySpec spec;
     spec.dram_mb = kDramMb;
@@ -42,6 +45,13 @@ int main() {
     const double per_op = ops > 0 ? loads / (ops * seconds) : 0;
     std::printf("%-14u %12.0f %14.2f\n", g, ops, per_op);
     std::fflush(stdout);
+    json.push_back(JsonLine()
+                       .Str("bench", "fig11_granularity")
+                       .Num("unit_bytes", static_cast<uint64_t>(g))
+                       .Num("ops_per_sec", ops)
+                       .Num("unit_loads_per_op", per_op));
   }
+  std::printf("\n");
+  for (JsonLine& line : json) line.Print();
   return 0;
 }

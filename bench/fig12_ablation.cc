@@ -10,6 +10,7 @@
 // ablation result ("the choice of the migration policy is more important
 // than the other optimizations").
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -53,6 +54,8 @@ int main() {
                               {"+FINE-GRAINED", true, false},
                               {"+MINI PAGE", true, true}};
 
+  // One JSON line per cell, printed after the tables.
+  std::vector<JsonLine> json;
   for (const AccessPattern& pat : pats) {
     std::printf("\n--- %s (ops/s) ---\n", pat.name.c_str());
     std::printf("%-16s %12s %12s %12s\n", "", "HyMem", "Spf-Eager",
@@ -74,9 +77,22 @@ int main() {
         RunResult r = RunPoint(spec, pat, /*threads=*/1, seconds);
         std::printf(" %12.0f", r.ops_per_sec);
         std::fflush(stdout);
+        json.push_back(JsonLine()
+                           .Str("bench", "fig12_ablation")
+                           .Str("pattern", pat.name)
+                           .Str("variant", v.name)
+                           .Str("policy", pol.name)
+                           .Num("ops_per_sec", r.ops_per_sec)
+                           .Num("fine_grained_loads",
+                                r.buffer.fine_grained_loads)
+                           .Num("mini_page_admits", r.buffer.mini_page_admits)
+                           .Num("mini_page_promotions",
+                                r.buffer.mini_page_promotions));
       }
       std::printf("\n");
     }
   }
+  std::printf("\n");
+  for (JsonLine& line : json) line.Print();
   return 0;
 }

@@ -9,6 +9,7 @@
 // queues admit everything on the second touch (fine, plateaus); the knee
 // sits around half the NVM buffer page count.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -26,6 +27,8 @@ int main() {
   std::printf("\nHyMem policy, YCSB-RO and YCSB-BA (ops/s)\n");
   std::printf("%-26s %12s %12s %14s\n", "queue capacity", "YCSB-RO",
               "YCSB-BA", "NVM resident");
+  // One JSON line per point, printed after the table.
+  std::vector<JsonLine> json;
   for (double frac : fractions) {
     const size_t cap = std::max<size_t>(1, static_cast<size_t>(
                                                nvm_pages * frac));
@@ -48,8 +51,18 @@ int main() {
       std::printf(" %12.0f", ops);
       std::fflush(stdout);
       resident = h.bm->NvmResidentPages();
+      json.push_back(JsonLine()
+                         .Str("bench", "sec65_admission_queue")
+                         .Str("pattern", pat.name)
+                         .Num("queue_capacity", static_cast<uint64_t>(cap))
+                         .Num("nvm_page_fraction", frac)
+                         .Num("ops_per_sec", ops)
+                         .Num("nvm_resident_pages",
+                              static_cast<uint64_t>(resident)));
     }
     std::printf(" %10zu pages\n", resident);
   }
+  std::printf("\n");
+  for (JsonLine& line : json) line.Print();
   return 0;
 }

@@ -41,8 +41,8 @@ size_t SliceBase(size_t total, size_t i, size_t n) {
   return i * (total / n) + std::min(i, total % n);
 }
 
-// Splits an explicitly configured capacity (admission queue, mini hosts,
-// writer watermark) across shards without rounding any shard to zero;
+// Splits an explicitly configured capacity (admission queue, writer
+// watermark) across shards without rounding any shard to zero;
 // zero stays zero so each shard applies its own "default from my frame
 // count" rule.
 size_t SplitExplicit(size_t total, size_t i, size_t n) {
@@ -90,7 +90,6 @@ BufferManager::BufferManager(const BufferManagerOptions& options)
     so.nvm_frames = SliceSize(options_.nvm_frames, i, n);
     so.admission_queue_capacity =
         SplitExplicit(options_.admission_queue_capacity, i, n);
-    so.mini_host_frames = SplitExplicit(options_.mini_host_frames, i, n);
     so.bg_writer_low_watermark =
         SplitExplicit(options_.bg_writer_low_watermark, i, n);
 

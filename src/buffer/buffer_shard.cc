@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "common/timer.h"
-#include "hymem/mini_page.h"
+#include "hymem/hymem_dram.h"
 #include "storage/dram_device.h"
 
 namespace spitfire {
@@ -96,11 +96,6 @@ BufferShard::BufferShard(const BufferManagerOptions& options,
                          /*persistent_frame_table=*/true,
                          options_.nvm_replacer,
                          ctx.nvm_total_frames, ctx.nvm_frame_base});
-    if (options_.nvm_admission == NvmAdmissionMode::kAdmissionQueue) {
-      size_t cap = options_.admission_queue_capacity;
-      if (cap == 0) cap = std::max<size_t>(1, options_.nvm_frames / 2);
-      admission_queue_ = std::make_unique<AdmissionQueue>(cap);
-    }
   }
 
   if (options_.dram_frames > 0) {
@@ -110,32 +105,11 @@ BufferShard::BufferShard(const BufferManagerOptions& options,
                          /*persistent_frame_table=*/false,
                          options_.dram_replacer,
                          ctx.dram_total_frames, ctx.dram_frame_base});
-
-    if (options_.enable_mini_pages && nvm_pool_ != nullptr) {
-      size_t host = options_.mini_host_frames;
-      if (host == 0) host = std::max<size_t>(1, options_.dram_frames / 8);
-      host = std::min(host, options_.dram_frames);
-      mini_.per_frame = MiniPageView::PerFrame(options_.load_granularity);
-      for (size_t i = 0; i < host; ++i) {
-        frame_id_t f;
-        if (!dram_pool_->TryAllocateFrame(&f)) break;
-        mini_.host_frames.push_back(f);
-      }
-      mini_.capacity = mini_.host_frames.size() * mini_.per_frame;
-      if (mini_.capacity > 0) {
-        mini_.free_list = std::make_unique<MpmcQueue<uint32_t>>(mini_.capacity);
-        mini_.replacer =
-            Replacer::Create(ReplacerKind::kClock, mini_.capacity);
-        mini_.owners = std::vector<std::atomic<SharedPageDescriptor*>>(
-            mini_.capacity);
-        for (uint32_t m = 0; m < mini_.capacity; ++m) {
-          mini_.owners[m].store(nullptr, std::memory_order_relaxed);
-          SPITFIRE_CHECK(mini_.free_list->TryPush(m));
-        }
-      }
-    }
   }
   SPITFIRE_CHECK(dram_pool_ != nullptr || nvm_pool_ != nullptr);
+  hymem_ = HymemDram::Create(
+      options_, {dram_pool_.get(), nvm_pool_.get(), nvm_, dram_backing_,
+                 &stats_, [this] { return AcquireDramFrame(); }});
 
   // Per-shard admission control: each shard bounds its own in-flight
   // misses so one shard's miss storm cannot starve the others' install
@@ -202,13 +176,14 @@ bool BufferShard::TryPinDram(SharedPageDescriptor* d) {
   // removed. Misses are recorded exactly at install time.
   if (ShouldSampleAccess()) {
     stats_.Add(BufferCounter::kReplacerSampled);
+    // A mini page's frame field is its slot; it may be stale if a
+    // concurrent overflow promoted the page to a full frame, and a stray
+    // reference bit on a freed slot is benign.
+    const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
     if (m == DramMode::kMini) {
-      // `mini_id` may be stale if a concurrent overflow promoted the page
-      // to a full frame; a stray reference bit on a freed slot is benign.
-      mini_.replacer->RecordAccess(d->mini_id.load(std::memory_order_relaxed));
+      hymem_->RecordMiniAccess(f);
     } else {
-      dram_pool_->ReplacerRecordAccess(
-          d->dram.frame.load(std::memory_order_relaxed));
+      dram_pool_->ReplacerRecordAccess(f);
     }
   }
   // No counter on the suppressed branch: an extra per-hit atomic here costs
@@ -247,7 +222,8 @@ bool BufferShard::ReadOptimistic(page_id_t pid, AccessIntent intent,
   stats_.Add(BufferCounter::kDramHits);
   if (ShouldSampleAccess()) {
     // If the copy was just evicted this marks the frame's next owner; as
-    // with a stale mini_id in TryPinDram, a stray reference is benign.
+    // with a stale mini-page slot in TryPinDram, a stray reference is
+    // benign.
     stats_.Add(BufferCounter::kReplacerSampled);
     dram_pool_->ReplacerRecordAccess(f);
   }
@@ -676,11 +652,7 @@ Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
     const frame_id_t f = AcquireDramFrame();
     if (f != kInvalidFrameId) {
       PageView(dram_pool_->FramePtr(f)).Format(pid, page_type);
-      dram_pool_->SetOwner(f, d, pid);
-      d->dram.frame.store(f, std::memory_order_relaxed);
-      d->dram.dirty.store(true, std::memory_order_relaxed);
-      d->dram.Publish(DramMode::kFull, /*initial_pins=*/1);
-      dram_pool_->ReplacerRecordInstall(f);
+      PublishFull(d, Tier::kDram, f, /*dirty=*/true, /*pins=*/1);
       return PageGuard(this, d, Tier::kDram);
     }
   }
@@ -690,11 +662,7 @@ Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
       PageView(nvm_pool_->FramePtr(f)).Format(pid, page_type);
       nvm_->OnDirectWrite(nvm_pool_->FrameOffset(f), kPageSize,
                           /*sequential=*/true);
-      nvm_pool_->SetOwner(f, d, pid);
-      d->nvm.frame.store(f, std::memory_order_relaxed);
-      d->nvm.dirty.store(true, std::memory_order_relaxed);
-      d->nvm.Publish(DramMode::kFull, /*initial_pins=*/1);
-      nvm_pool_->ReplacerRecordInstall(f);
+      PublishFull(d, Tier::kNvm, f, /*dirty=*/true, /*pins=*/1);
       return PageGuard(this, d, Tier::kNvm);
     }
   }
@@ -703,74 +671,59 @@ Result<PageGuard> BufferShard::NewPageWithId(page_id_t pid,
 
 Result<PageGuard> BufferShard::InstallPinned(SharedPageDescriptor* d,
                                                const std::byte* src) {
-  const MigrationPolicy pol = policy();
   const bool have_dram = dram_pool_ != nullptr;
   const bool have_nvm = nvm_pool_ != nullptr;
 
   // Where does the page land? Bypassing NVM on the read path happens with
   // probability 1 - Nr (Section 3.3); without a DRAM tier everything goes
-  // to NVM and vice versa.
-  bool to_nvm;
-  if (!have_dram) {
-    to_nvm = true;
-  } else if (!have_nvm) {
-    to_nvm = false;
-  } else {
-    to_nvm = pol.InstallSsdToNvmOnRead();
-  }
+  // to NVM and vice versa. An NVM landing falls back to DRAM when no NVM
+  // frame is free.
+  const bool to_nvm =
+      !have_dram || (have_nvm && policy().InstallSsdToNvmOnRead());
+
+  const auto install_nvm = [&](frame_id_t nf) {
+    std::memcpy(nvm_pool_->FramePtr(nf), src, kPageSize);
+    nvm_->OnDirectWrite(nvm_pool_->FrameOffset(nf), kPageSize,
+                        /*sequential=*/true);
+    PublishFull(d, Tier::kNvm, nf, /*dirty=*/false, /*pins=*/1);
+    stats_.Add(BufferCounter::kSsdFetches);
+    stats_.Add(BufferCounter::kNvmInstalls);
+    return PageGuard(this, d, Tier::kNvm);
+  };
 
   if (to_nvm) {
     const frame_id_t f = AcquireNvmFrame();
-    if (f == kInvalidFrameId) {
-      if (!have_dram) return Status::Busy("NVM pool exhausted; retry");
-      to_nvm = false;  // fall back to DRAM
-    } else {
-      std::memcpy(nvm_pool_->FramePtr(f), src, kPageSize);
-      nvm_->OnDirectWrite(nvm_pool_->FrameOffset(f), kPageSize,
-                          /*sequential=*/true);
-      nvm_pool_->SetOwner(f, d, d->pid);
-      d->nvm.frame.store(f, std::memory_order_relaxed);
-      d->nvm.dirty.store(false, std::memory_order_relaxed);
-      d->nvm.Publish(DramMode::kFull, /*initial_pins=*/1);
-      nvm_pool_->ReplacerRecordInstall(f);
-      stats_.Add(BufferCounter::kSsdFetches);
-      stats_.Add(BufferCounter::kNvmInstalls);
-      return PageGuard(this, d, Tier::kNvm);
-    }
+    if (f != kInvalidFrameId) return install_nvm(f);
+    if (!have_dram) return Status::Busy("NVM pool exhausted; retry");
   }
 
-  frame_id_t f = AcquireDramFrame();
+  const frame_id_t f = AcquireDramFrame();
   if (f == kInvalidFrameId) {
     // Transient exhaustion (every frame pinned or latched). If NVM has
     // room, land the page there instead; otherwise let the caller retry.
     if (have_nvm) {
       const frame_id_t nf = AcquireNvmFrame();
-      if (nf != kInvalidFrameId) {
-        std::memcpy(nvm_pool_->FramePtr(nf), src, kPageSize);
-        nvm_->OnDirectWrite(nvm_pool_->FrameOffset(nf), kPageSize,
-                            /*sequential=*/true);
-        nvm_pool_->SetOwner(nf, d, d->pid);
-        d->nvm.frame.store(nf, std::memory_order_relaxed);
-        d->nvm.dirty.store(false, std::memory_order_relaxed);
-        d->nvm.Publish(DramMode::kFull, /*initial_pins=*/1);
-        nvm_pool_->ReplacerRecordInstall(nf);
-        stats_.Add(BufferCounter::kSsdFetches);
-        stats_.Add(BufferCounter::kNvmInstalls);
-        return PageGuard(this, d, Tier::kNvm);
-      }
+      if (nf != kInvalidFrameId) return install_nvm(nf);
     }
     return Status::Busy("DRAM pool exhausted; retry");
   }
   std::memcpy(dram_pool_->FramePtr(f), src, kPageSize);
   dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f), kPageSize,
                                /*sequential=*/true);
-  dram_pool_->SetOwner(f, d, d->pid);
-  d->dram.frame.store(f, std::memory_order_relaxed);
-  d->dram.dirty.store(false, std::memory_order_relaxed);
-  d->dram.Publish(DramMode::kFull, /*initial_pins=*/1);
-  dram_pool_->ReplacerRecordInstall(f);
+  PublishFull(d, Tier::kDram, f, /*dirty=*/false, /*pins=*/1);
   stats_.Add(BufferCounter::kSsdFetches);
   return PageGuard(this, d, Tier::kDram);
+}
+
+void BufferShard::PublishFull(SharedPageDescriptor* d, Tier tier,
+                              frame_id_t f, bool dirty, uint32_t pins) {
+  BufferPool* pool = tier == Tier::kDram ? dram_pool_.get() : nvm_pool_.get();
+  TierState& state = tier == Tier::kDram ? d->dram : d->nvm;
+  pool->SetOwner(f, d, d->pid);
+  state.frame.store(f, std::memory_order_relaxed);
+  state.dirty.store(dirty, std::memory_order_relaxed);
+  state.Publish(DramMode::kFull, pins);
+  pool->ReplacerRecordInstall(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -956,11 +909,7 @@ void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
       std::memcpy(nvm_pool_->FramePtr(f), src, kPageSize);
       nvm_->OnDirectWrite(nvm_pool_->FrameOffset(f), kPageSize,
                           /*sequential=*/true);
-      nvm_pool_->SetOwner(f, d, pid);
-      d->nvm.frame.store(f, std::memory_order_relaxed);
-      d->nvm.dirty.store(false, std::memory_order_relaxed);
-      d->nvm.Publish(DramMode::kFull, /*initial_pins=*/0);
-      nvm_pool_->ReplacerRecordInstall(f);
+      PublishFull(d, Tier::kNvm, f, /*dirty=*/false, /*pins=*/0);
     } else {
       if (dram_pool_ == nullptr) return;
       frame_id_t f;
@@ -971,11 +920,7 @@ void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
       std::memcpy(dram_pool_->FramePtr(f), src, kPageSize);
       dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f), kPageSize,
                                    /*sequential=*/true);
-      dram_pool_->SetOwner(f, d, pid);
-      d->dram.frame.store(f, std::memory_order_relaxed);
-      d->dram.dirty.store(false, std::memory_order_relaxed);
-      d->dram.Publish(DramMode::kFull, /*initial_pins=*/0);
-      dram_pool_->ReplacerRecordInstall(f);
+      PublishFull(d, Tier::kDram, f, /*dirty=*/false, /*pins=*/0);
     }
     stats_.Add(BufferCounter::kReadAheadInstalls);
   }();
@@ -1010,57 +955,27 @@ Status BufferShard::PromoteToDram(SharedPageDescriptor* d) {
     __builtin_ia32_pause();
   }
 
-  const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-
-  // HyMem-style admissions: mini page first, then cache-line-grained.
-  if (options_.enable_mini_pages && mini_.capacity > 0) {
-    const uint32_t m = AcquireMiniSlot();
-    if (m != UINT32_MAX) {
-      MiniPageView mp(MiniPtr(m));
-      mp.Format(d->pid, options_.load_granularity);
-      d->mini_id.store(m, std::memory_order_relaxed);
-      mini_.owners[m].store(d, std::memory_order_release);
-      d->dram.dirty.store(false, std::memory_order_relaxed);
-      d->dram.Publish(DramMode::kMini, 0);
-      d->nvm.Publish(DramMode::kFull, 0);
-      mini_.replacer->RecordInstall(m);
-      stats_.Add(BufferCounter::kMiniPageAdmits);
-      stats_.Add(BufferCounter::kPromotions);
-      return Status::OK();
+  // HyMem may admit the promotion as a partial copy instead.
+  Status st;
+  if (hymem_ == nullptr || !hymem_->AdmitPromotion(d, &st)) {
+    const frame_id_t f = AcquireDramFrame();
+    if (f == kInvalidFrameId) {
+      st = Status::Busy("no DRAM frame");
+    } else {
+      st = nvm_->Read(nvm_pool_->FrameOffset(nf), dram_pool_->FramePtr(f),
+                      kPageSize);
+      if (st.ok()) {
+        dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f), kPageSize,
+                                     /*sequential=*/true);
+        PublishFull(d, Tier::kDram, f, /*dirty=*/false, /*pins=*/0);
+      } else {
+        dram_pool_->FreeFrame(f);
+      }
     }
-  }
-
-  const frame_id_t f = AcquireDramFrame();
-  if (f == kInvalidFrameId) {
-    d->nvm.Publish(DramMode::kFull, 0);
-    return Status::Busy("no DRAM frame");
-  }
-
-  if (options_.enable_fine_grained_loading) {
-    // No bytes move yet: units are loaded on demand from the NVM copy.
-    d->cl.Reset(options_.load_granularity);
-    dram_pool_->SetOwner(f, d, d->pid);
-    d->dram.frame.store(f, std::memory_order_relaxed);
-    d->dram.dirty.store(false, std::memory_order_relaxed);
-    d->dram.Publish(DramMode::kCacheLineGrained, 0);
-  } else {
-    const Status st = nvm_->Read(nvm_off, dram_pool_->FramePtr(f), kPageSize);
-    if (!st.ok()) {
-      dram_pool_->FreeFrame(f);
-      d->nvm.Publish(DramMode::kFull, 0);
-      return st;
-    }
-    dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f), kPageSize,
-                                 /*sequential=*/true);
-    dram_pool_->SetOwner(f, d, d->pid);
-    d->dram.frame.store(f, std::memory_order_relaxed);
-    d->dram.dirty.store(false, std::memory_order_relaxed);
-    d->dram.Publish(DramMode::kFull, 0);
   }
   d->nvm.Publish(DramMode::kFull, 0);
-  dram_pool_->ReplacerRecordInstall(f);
-  stats_.Add(BufferCounter::kPromotions);
-  return Status::OK();
+  if (st.ok()) stats_.Add(BufferCounter::kPromotions);
+  return st;
 }
 
 // ---------------------------------------------------------------------------
@@ -1102,25 +1017,10 @@ frame_id_t BufferShard::EvictOneNvmFrame() {
 }
 
 bool BufferShard::DecideNvmAdmission(page_id_t pid) {
-  if (admission_queue_ != nullptr) return admission_queue_->ShouldAdmit(pid);
-  return policy().AdmitToNvmOnDramEviction();
-}
-
-void BufferShard::WriteBackUnitsToNvm(SharedPageDescriptor* d) {
-  const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-  SPITFIRE_DCHECK(nf != kInvalidFrameId);
-  const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-  const frame_id_t df = d->dram.frame.load(std::memory_order_relaxed);
-  std::byte* dram_ptr = dram_pool_->FramePtr(df);
-  const uint32_t usize = d->cl.unit_size;
-  const size_t units = d->cl.UnitsPerPage();
-  bool any = false;
-  for (size_t u = 0; u < units; ++u) {
-    if (!d->cl.dirty.Test(u)) continue;
-    (void)nvm_->Write(nvm_off + u * usize, dram_ptr + u * usize, usize);
-    any = true;
+  if (hymem_ != nullptr && hymem_->queues_admissions()) {
+    return hymem_->AdmitToNvm(pid);
   }
-  if (any) d->nvm.dirty.store(true, std::memory_order_relaxed);
+  return policy().AdmitToNvmOnDramEviction();
 }
 
 // Eviction protocol: retire the state word FIRST (fails if any pin exists
@@ -1140,29 +1040,28 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
   SharedPageDescriptor* d = dram_pool_->Owner(f);
   if (d == nullptr) return false;
   if (!d->dram_latch.TryLock()) return false;
-
-  const DramMode mode = d->dram.Mode();
-  const bool owns = (mode == DramMode::kFull ||
-                     mode == DramMode::kCacheLineGrained) &&
-                    d->dram.frame.load(std::memory_order_relaxed) == f &&
-                    dram_pool_->Owner(f) == d;
-  if (!owns) {
+  // Under the latch, owning frame f means d's DRAM copy lives in it (a
+  // full copy, or HyMem's cache-line-grained one).
+  if (d->dram.frame.load(std::memory_order_relaxed) != f ||
+      dram_pool_->Owner(f) != d) {
     d->dram_latch.Unlock();
     return false;
   }
+  const DramMode mode = d->dram.Mode();
 
   // Dirty hint, read before the retires to pick the retire order. The hint
   // can miss a writer that set dirty but has not yet unpinned; the
   // authoritative re-read after the DRAM retire catches that case.
-  const bool dirty_hint = d->dram.dirty.load(std::memory_order_relaxed) ||
-                          (mode == DramMode::kCacheLineGrained &&
-                           d->cl.dirty.Any());
+  const bool dirty_hint = d->dram.dirty.load(std::memory_order_relaxed);
+  // HyMem's admission queue considers EVERY page evicted from DRAM, not
+  // just dirty ones (Section 1): a clean page admitted on its second
+  // consideration is copied into NVM so future reads skip the SSD. The
+  // probabilistic (Spitfire) mode discards clean pages (Section 3.3).
+  const bool queue = hymem_ != nullptr && hymem_->queues_admissions();
 
   bool nvm_locked = false;
   bool nvm_retired = false;
-  const bool want_nvm =
-      nvm_pool_ != nullptr && (dirty_hint || admission_queue_ != nullptr);
-  if (want_nvm) {
+  if (nvm_pool_ != nullptr && (dirty_hint || queue)) {
     if (!d->nvm_latch.TryLock()) {
       d->dram_latch.Unlock();
       return false;
@@ -1191,9 +1090,7 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
 
   // Authoritative dirty read: the successful retire synchronized with every
   // unpin, so any writer's dirty store is visible now.
-  const bool dirty = d->dram.dirty.load(std::memory_order_relaxed) ||
-                     (mode == DramMode::kCacheLineGrained &&
-                      d->cl.dirty.Any());
+  const bool dirty = d->dram.dirty.load(std::memory_order_relaxed);
   if (dirty && !dirty_hint) {
     // Raced with a writer after the hint was read; the NVM word was not
     // retired first, so the write-back cannot proceed safely this round.
@@ -1201,80 +1098,34 @@ bool BufferShard::TryEvictDramFrame(frame_id_t f) {
     return false;
   }
 
-  if (!dirty) {
-    // HyMem's admission queue considers EVERY page evicted from DRAM, not
-    // just dirty ones (Section 1): a clean page admitted on its second
-    // consideration is copied into NVM so future reads skip the SSD. The
-    // probabilistic (Spitfire) mode discards clean pages (Section 3.3).
-    if (admission_queue_ != nullptr && nvm_locked && !nvm_retired &&
-        mode == DramMode::kFull && !d->NvmResident() &&
-        admission_queue_->ShouldAdmit(d->pid)) {
-      const frame_id_t nf = AcquireNvmFrame();
-      if (nf != kInvalidFrameId) {
-        (void)nvm_->Write(nvm_pool_->FrameOffset(nf),
-                          dram_pool_->FramePtr(f), kPageSize);
-        nvm_pool_->SetOwner(nf, d, d->pid);
-        d->nvm.frame.store(nf, std::memory_order_relaxed);
-        d->nvm.dirty.store(false, std::memory_order_relaxed);
-        d->nvm.Publish(DramMode::kFull, 0);
-        nvm_pool_->ReplacerRecordInstall(nf);
-        stats_.Add(BufferCounter::kDemotionsToNvm);
-      }
-    }
-    if (nvm_retired) d->nvm.Publish(DramMode::kFull, 0);
-    d->dram.frame.store(kInvalidFrameId, std::memory_order_relaxed);
-    dram_pool_->FreeFrame(f);
-    if (nvm_locked) d->nvm_latch.Unlock();
-    d->dram_latch.Unlock();
-    stats_.Add(BufferCounter::kDramEvictions);
-    return true;
-  }
-
-  if (mode == DramMode::kCacheLineGrained) {
-    // Dirty units flow back into the NVM copy (always present for CLG and
-    // already retired above, since CLG dirt is latch-protected and thus
-    // always visible in the hint).
-    SPITFIRE_DCHECK(nvm_retired);
-    WriteBackUnitsToNvm(d);
-    d->nvm.Publish(DramMode::kFull, 0);
-    d->dram.frame.store(kInvalidFrameId, std::memory_order_relaxed);
-    d->dram.dirty.store(false, std::memory_order_relaxed);
-    dram_pool_->FreeFrame(f);
-    d->nvm_latch.Unlock();
-    d->dram_latch.Unlock();
-    stats_.Add(BufferCounter::kDramEvictions);
-    stats_.Add(BufferCounter::kDemotionsToNvm);
-    return true;
-  }
-
-  // Full dirty page: update the NVM copy in place, admit into NVM
-  // (probability Nw / HyMem admission queue), or bypass NVM down to SSD
-  // (Section 3.4).
+  // A dirty page updates its NVM copy in place (a partial copy writes back
+  // just its dirty units; its NVM copy is always resident). Otherwise it
+  // may be admitted into NVM — the nvm latch is held only for a dirty page
+  // or under the admission queue — and a dirty page not admitted bypasses
+  // NVM down to SSD (Section 3.4).
   std::byte* dram_ptr = dram_pool_->FramePtr(f);
-  bool wrote = false;
+  bool to_ssd = dirty;
   if (nvm_retired) {
-    const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-    SPITFIRE_DCHECK(nf != kInvalidFrameId);
-    (void)nvm_->Write(nvm_pool_->FrameOffset(nf), dram_ptr, kPageSize);
-    d->nvm.dirty.store(true, std::memory_order_relaxed);
+    if (hymem_ == nullptr || !hymem_->WriteBack(d, mode)) {
+      const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
+      SPITFIRE_DCHECK(nf != kInvalidFrameId);
+      (void)nvm_->Write(nvm_pool_->FrameOffset(nf), dram_ptr, kPageSize);
+      d->nvm.dirty.store(true, std::memory_order_relaxed);
+    }
     d->nvm.Publish(DramMode::kFull, 0);
     nvm_retired = false;
     stats_.Add(BufferCounter::kDemotionsToNvm);
-    wrote = true;
-  } else if (nvm_pool_ != nullptr && DecideNvmAdmission(d->pid)) {
-    const frame_id_t newf = AcquireNvmFrame();
-    if (newf != kInvalidFrameId) {
-      (void)nvm_->Write(nvm_pool_->FrameOffset(newf), dram_ptr, kPageSize);
-      nvm_pool_->SetOwner(newf, d, d->pid);
-      d->nvm.frame.store(newf, std::memory_order_relaxed);
-      d->nvm.dirty.store(true, std::memory_order_relaxed);
-      d->nvm.Publish(DramMode::kFull, 0);
-      nvm_pool_->ReplacerRecordInstall(newf);
+    to_ssd = false;
+  } else if (nvm_locked && !d->NvmResident() && DecideNvmAdmission(d->pid)) {
+    const frame_id_t nf = AcquireNvmFrame();
+    if (nf != kInvalidFrameId) {
+      (void)nvm_->Write(nvm_pool_->FrameOffset(nf), dram_ptr, kPageSize);
+      PublishFull(d, Tier::kNvm, nf, dirty, /*pins=*/0);
       stats_.Add(BufferCounter::kDemotionsToNvm);
-      wrote = true;
+      to_ssd = false;
     }
   }
-  if (!wrote) {
+  if (to_ssd) {
     if (!d->ssd_latch.TryLock()) {
       abort_evict(true);
       return false;
@@ -1305,12 +1156,10 @@ bool BufferShard::TryEvictNvmFrame(frame_id_t f) {
     d->nvm_latch.Unlock();
     return false;
   }
-  // A cache-line-grained or mini DRAM copy loads its units from this NVM
-  // frame; it pins the NVM copy implicitly. (The DRAM mode cannot become
-  // kCacheLineGrained/kMini while we hold the nvm latch — promotion takes
-  // it.)
-  const DramMode dmode = d->dram.Mode();
-  if (dmode == DramMode::kCacheLineGrained || dmode == DramMode::kMini) {
+  // A partial DRAM copy (HyMem) loads its units from this NVM frame; it
+  // pins the NVM copy implicitly. (No partial copy can appear while we
+  // hold the nvm latch — promotion takes it.)
+  if (hymem_ != nullptr && HymemDram::HasPartialCopy(d)) {
     d->nvm_latch.Unlock();
     return false;
   }
@@ -1344,146 +1193,11 @@ bool BufferShard::TryEvictNvmFrame(frame_id_t f) {
 }
 
 // ---------------------------------------------------------------------------
-// Mini pages
-// ---------------------------------------------------------------------------
-
-std::byte* BufferShard::MiniPtr(uint32_t mini_id) {
-  const size_t host = mini_id / mini_.per_frame;
-  const size_t slot = mini_id % mini_.per_frame;
-  return dram_pool_->FramePtr(mini_.host_frames[host]) +
-         slot * MiniPageView::BytesRequired(options_.load_granularity);
-}
-
-uint32_t BufferShard::AcquireMiniSlot() {
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    uint32_t m;
-    if (mini_.free_list->TryPop(&m)) return m;
-    mini_.replacer->PickVictim(
-        [this](frame_id_t v) { return TryEvictMini(v); });
-  }
-  return UINT32_MAX;
-}
-
-bool BufferShard::TryEvictMini(uint32_t mini_id) {
-  SharedPageDescriptor* d =
-      mini_.owners[mini_id].load(std::memory_order_acquire);
-  if (d == nullptr) return false;
-  if (!d->dram_latch.TryLock()) return false;
-  if (d->dram.Mode() != DramMode::kMini ||
-      d->mini_id.load(std::memory_order_relaxed) != mini_id) {
-    d->dram_latch.Unlock();
-    return false;
-  }
-  // Mini-page dirt is written under the dram latch, so this read is
-  // authoritative. Dirty units make the NVM copy stale: retire the NVM
-  // word BEFORE the DRAM word (see TryEvictDramFrame) so no reader can
-  // fall through to the stale NVM bytes mid-write-back.
-  MiniPageView mp(MiniPtr(mini_id));
-  const bool dirty = mp.AnyDirty();
-  if (dirty) {
-    if (!d->nvm_latch.TryLock()) {
-      d->dram_latch.Unlock();
-      return false;
-    }
-    if (!d->nvm.TryRetire()) {
-      d->nvm_latch.Unlock();
-      d->dram_latch.Unlock();
-      return false;
-    }
-  }
-  if (!d->dram.TryRetire()) {  // pinned or raced
-    if (dirty) {
-      d->nvm.Publish(DramMode::kFull, 0);
-      d->nvm_latch.Unlock();
-    }
-    d->dram_latch.Unlock();
-    return false;
-  }
-  if (dirty) {
-    const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-    SPITFIRE_DCHECK(nf != kInvalidFrameId);
-    const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-    const uint32_t usize = mp.meta()->unit_size;
-    for (size_t s = 0; s < mp.count(); ++s) {
-      if (!mp.IsDirty(s)) continue;
-      const uint16_t unit = mp.meta()->slots[s];
-      (void)nvm_->Write(nvm_off + static_cast<uint64_t>(unit) * usize,
-                        mp.UnitPtr(s), usize);
-    }
-    d->nvm.dirty.store(true, std::memory_order_relaxed);
-    d->nvm.Publish(DramMode::kFull, 0);
-    d->nvm_latch.Unlock();
-  }
-  mini_.owners[mini_id].store(nullptr, std::memory_order_release);
-  while (!mini_.free_list->TryPush(mini_id)) __builtin_ia32_pause();
-  d->dram_latch.Unlock();
-  stats_.Add(BufferCounter::kDramEvictions);
-  return true;
-}
-
-Status BufferShard::PromoteMiniToFull(SharedPageDescriptor* d) {
-  // dram latch held; mode == kMini; the caller (and possibly other guard
-  // holders) keep pins on the DRAM copy throughout — SwitchMode preserves
-  // them.
-  const uint32_t mini_id = d->mini_id.load(std::memory_order_relaxed);
-  MiniPageView mp(MiniPtr(mini_id));
-  const frame_id_t f = AcquireDramFrame();
-  if (f == kInvalidFrameId) return Status::OutOfMemory("no frame for overflow");
-
-  const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-  SPITFIRE_DCHECK(nf != kInvalidFrameId);
-  std::byte* dst = dram_pool_->FramePtr(f);
-  const Status read_st = nvm_->Read(nvm_pool_->FrameOffset(nf), dst, kPageSize);
-  if (!read_st.ok()) {
-    dram_pool_->FreeFrame(f);
-    return read_st;
-  }
-  // Overlay units dirtied while in the mini page: they are newer than the
-  // NVM copy.
-  const uint32_t usize = mp.meta()->unit_size;
-  bool any_dirty = false;
-  for (size_t s = 0; s < mp.count(); ++s) {
-    if (!mp.IsDirty(s)) continue;
-    const uint16_t unit = mp.meta()->slots[s];
-    std::memcpy(dst + static_cast<size_t>(unit) * usize, mp.UnitPtr(s), usize);
-    any_dirty = true;
-  }
-  dram_pool_->SetOwner(f, d, d->pid);
-  d->dram.frame.store(f, std::memory_order_relaxed);
-  if (any_dirty) d->dram.dirty.store(true, std::memory_order_relaxed);
-  d->dram.SwitchMode(DramMode::kFull);
-  dram_pool_->ReplacerRecordInstall(f);
-  mini_.owners[mini_id].store(nullptr, std::memory_order_release);
-  while (!mini_.free_list->TryPush(mini_id)) __builtin_ia32_pause();
-  stats_.Add(BufferCounter::kMiniPagePromotions);
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // Guard data plane
 // ---------------------------------------------------------------------------
 
-void BufferShard::EnsureUnitsResident(SharedPageDescriptor* d, size_t offset,
-                                        size_t size) {
-  const uint32_t usize = d->cl.unit_size;
-  const size_t first = offset / usize;
-  const size_t last = (offset + (size ? size : 1) - 1) / usize;
-  const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-  SPITFIRE_DCHECK(nf != kInvalidFrameId);
-  const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-  std::byte* dram_ptr =
-      dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
-  for (size_t u = first; u <= last; ++u) {
-    if (d->cl.resident.Test(u)) continue;
-    (void)nvm_->ReadFineGrained(nvm_off + u * usize, dram_ptr + u * usize,
-                                usize);
-    d->cl.resident.Set(u);
-    stats_.Add(BufferCounter::kFineGrainedLoads);
-  }
-}
-
 Status BufferShard::GuardRead(SharedPageDescriptor* d, Tier tier,
-                                size_t offset, size_t size, void* dst) {
+                              size_t offset, size_t size, void* dst) {
   if (offset + size > kPageSize) {
     return Status::InvalidArgument("page access out of range");
   }
@@ -1494,78 +1208,19 @@ Status BufferShard::GuardRead(SharedPageDescriptor* d, Tier tier,
     nvm_->OnDirectRead(nvm_pool_->FrameOffset(f) + offset, size);
     return Status::OK();
   }
-
-  // Fast path for fully materialized DRAM pages.
-  if (d->dram.Mode() == DramMode::kFull) {
-    const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-    std::memcpy(dst, dram_pool_->FramePtr(f) + offset, size);
-    dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + offset, size);
-    return Status::OK();
+  if (d->dram.Mode() != DramMode::kFull) {
+    SpinLatchGuard g(d->dram_latch);
+    return hymem_->Access(d, offset, size, static_cast<std::byte*>(dst),
+                          /*src=*/nullptr);
   }
-
-  SpinLatchGuard g(d->dram_latch);
-  const DramMode mode = d->dram.Mode();
-  switch (mode) {
-    case DramMode::kFull: {
-      const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-      std::memcpy(dst, dram_pool_->FramePtr(f) + offset, size);
-      dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + offset, size);
-      return Status::OK();
-    }
-    case DramMode::kCacheLineGrained: {
-      EnsureUnitsResident(d, offset, size);
-      const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-      std::memcpy(dst, dram_pool_->FramePtr(f) + offset, size);
-      dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + offset, size);
-      return Status::OK();
-    }
-    case DramMode::kMini: {
-      MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
-      const uint32_t usize = mp.meta()->unit_size;
-      const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-      const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-      size_t pos = offset;
-      const size_t end = offset + size;
-      auto* out = static_cast<std::byte*>(dst);
-      while (pos < end) {
-        const uint16_t unit = static_cast<uint16_t>(pos / usize);
-        int slot = mp.FindSlot(unit);
-        if (slot < 0) {
-          slot = mp.Insert(unit);
-          if (slot < 0) {
-            // Overflow: transparently promote to a full page and finish
-            // the read there.
-            SPITFIRE_RETURN_NOT_OK(PromoteMiniToFull(d));
-            const frame_id_t f =
-                d->dram.frame.load(std::memory_order_relaxed);
-            std::memcpy(out, dram_pool_->FramePtr(f) + pos, end - pos);
-            dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + pos,
-                                        end - pos);
-            return Status::OK();
-          }
-          (void)nvm_->ReadFineGrained(
-              nvm_off + static_cast<uint64_t>(unit) * usize, mp.UnitPtr(slot),
-              usize);
-          stats_.Add(BufferCounter::kFineGrainedLoads);
-        }
-        const size_t unit_begin = static_cast<size_t>(unit) * usize;
-        const size_t in_off = pos - unit_begin;
-        const size_t n = std::min(end - pos, usize - in_off);
-        std::memcpy(out, mp.UnitPtr(slot) + in_off, n);
-        out += n;
-        pos += n;
-      }
-      return Status::OK();
-    }
-    case DramMode::kNone:
-      break;
-  }
-  SPITFIRE_CHECK(false && "GuardRead on non-resident page");
-  return Status::Corruption("unreachable");
+  const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
+  std::memcpy(dst, dram_pool_->FramePtr(f) + offset, size);
+  dram_backing_->OnDirectRead(dram_pool_->FrameOffset(f) + offset, size);
+  return Status::OK();
 }
 
 Status BufferShard::GuardWrite(SharedPageDescriptor* d, Tier tier,
-                                 size_t offset, size_t size, const void* src) {
+                               size_t offset, size_t size, const void* src) {
   if (offset + size > kPageSize) {
     return Status::InvalidArgument("page access out of range");
   }
@@ -1577,87 +1232,20 @@ Status BufferShard::GuardWrite(SharedPageDescriptor* d, Tier tier,
     d->nvm.dirty.store(true, std::memory_order_release);
     return Status::OK();
   }
-
-  if (d->dram.Mode() == DramMode::kFull) {
-    const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-    std::memcpy(dram_pool_->FramePtr(f) + offset, src, size);
-    dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + offset, size);
-    d->dram.dirty.store(true, std::memory_order_release);
-    return Status::OK();
+  if (d->dram.Mode() != DramMode::kFull) {
+    SpinLatchGuard g(d->dram_latch);
+    return hymem_->Access(d, offset, size, /*dst=*/nullptr,
+                          static_cast<const std::byte*>(src));
   }
-
-  SpinLatchGuard g(d->dram_latch);
-  const DramMode mode = d->dram.Mode();
-  switch (mode) {
-    case DramMode::kFull: {
-      const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-      std::memcpy(dram_pool_->FramePtr(f) + offset, src, size);
-      dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + offset, size);
-      d->dram.dirty.store(true, std::memory_order_release);
-      return Status::OK();
-    }
-    case DramMode::kCacheLineGrained: {
-      // Writes that do not cover whole units require the surrounding bytes
-      // to be resident first.
-      EnsureUnitsResident(d, offset, size);
-      const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
-      std::memcpy(dram_pool_->FramePtr(f) + offset, src, size);
-      dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + offset, size);
-      const uint32_t usize = d->cl.unit_size;
-      for (size_t u = offset / usize; u <= (offset + size - 1) / usize; ++u) {
-        d->cl.dirty.Set(u);
-      }
-      d->dram.dirty.store(true, std::memory_order_release);
-      return Status::OK();
-    }
-    case DramMode::kMini: {
-      MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
-      const uint32_t usize = mp.meta()->unit_size;
-      const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-      const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-      size_t pos = offset;
-      const size_t end = offset + size;
-      const auto* in = static_cast<const std::byte*>(src);
-      while (pos < end) {
-        const uint16_t unit = static_cast<uint16_t>(pos / usize);
-        int slot = mp.FindSlot(unit);
-        if (slot < 0) {
-          slot = mp.Insert(unit);
-          if (slot < 0) {
-            SPITFIRE_RETURN_NOT_OK(PromoteMiniToFull(d));
-            const frame_id_t f =
-                d->dram.frame.load(std::memory_order_relaxed);
-            std::memcpy(dram_pool_->FramePtr(f) + pos, in, end - pos);
-            dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + pos,
-                                         end - pos);
-            d->dram.dirty.store(true, std::memory_order_release);
-            return Status::OK();
-          }
-          (void)nvm_->ReadFineGrained(
-              nvm_off + static_cast<uint64_t>(unit) * usize, mp.UnitPtr(slot),
-              usize);
-          stats_.Add(BufferCounter::kFineGrainedLoads);
-        }
-        const size_t unit_begin = static_cast<size_t>(unit) * usize;
-        const size_t in_off = pos - unit_begin;
-        const size_t n = std::min(end - pos, usize - in_off);
-        std::memcpy(mp.UnitPtr(slot) + in_off, in, n);
-        mp.MarkDirty(static_cast<size_t>(slot));
-        in += n;
-        pos += n;
-      }
-      d->dram.dirty.store(true, std::memory_order_release);
-      return Status::OK();
-    }
-    case DramMode::kNone:
-      break;
-  }
-  SPITFIRE_CHECK(false && "GuardWrite on non-resident page");
-  return Status::Corruption("unreachable");
+  const frame_id_t f = d->dram.frame.load(std::memory_order_relaxed);
+  std::memcpy(dram_pool_->FramePtr(f) + offset, src, size);
+  dram_backing_->OnDirectWrite(dram_pool_->FrameOffset(f) + offset, size);
+  d->dram.dirty.store(true, std::memory_order_release);
+  return Status::OK();
 }
 
 std::byte* BufferShard::GuardRawData(SharedPageDescriptor* d, Tier tier,
-                                       bool for_write) {
+                                     bool for_write) {
   if (tier == Tier::kNvm) {
     const frame_id_t f = d->nvm.frame.load(std::memory_order_acquire);
     SPITFIRE_DCHECK(f != kInvalidFrameId);
@@ -1665,24 +1253,12 @@ std::byte* BufferShard::GuardRawData(SharedPageDescriptor* d, Tier tier,
     nvm_->OnDirectRead(nvm_pool_->FrameOffset(f), 256);
     return nvm_pool_->FramePtr(f);
   }
-  if (d->dram.Mode() == DramMode::kFull) {
-    if (for_write) d->dram.dirty.store(true, std::memory_order_release);
-    return dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
+  if (d->dram.Mode() != DramMode::kFull) {
+    // Materialize a partial copy so callers can treat the page as one
+    // contiguous 16 KB buffer.
+    SpinLatchGuard g(d->dram_latch);
+    if (!hymem_->Materialize(d)) return nullptr;
   }
-  // Materialize cache-line-grained / mini representations into a full
-  // frame so callers can treat the page as one contiguous 16 KB buffer.
-  SpinLatchGuard g(d->dram_latch);
-  DramMode mode = d->dram.Mode();
-  if (mode == DramMode::kMini) {
-    if (!PromoteMiniToFull(d).ok()) return nullptr;
-    mode = DramMode::kFull;
-  } else if (mode == DramMode::kCacheLineGrained) {
-    EnsureUnitsResident(d, 0, kPageSize);
-    if (d->cl.dirty.Any()) d->dram.dirty.store(true, std::memory_order_relaxed);
-    d->dram.SwitchMode(DramMode::kFull);
-    mode = DramMode::kFull;
-  }
-  if (mode != DramMode::kFull) return nullptr;
   if (for_write) d->dram.dirty.store(true, std::memory_order_release);
   return dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
 }
@@ -1709,13 +1285,15 @@ Status BufferShard::DrainIo() { return io_->Drain(); }
 
 Status BufferShard::FlushPage(page_id_t pid) {
   SharedPageDescriptor* d = descriptors_.Find(pid);
-  const Status st = d != nullptr ? FlushPageImpl(d) : Status::OK();
+  const Status st =
+      d != nullptr ? FlushPageImpl(d, /*include_nvm=*/true) : Status::OK();
   const Status drained = DrainIo();
   SPITFIRE_RETURN_NOT_OK(st);
   return drained;
 }
 
-Status BufferShard::FlushPageImpl(SharedPageDescriptor* d, size_t* skipped) {
+Status BufferShard::FlushPageImpl(SharedPageDescriptor* d, bool include_nvm,
+                                  size_t* skipped) {
   const page_id_t pid = d->pid;
   SpinLatchGuard gd(d->dram_latch);
   SpinLatchGuard gn(d->nvm_latch);
@@ -1726,78 +1304,52 @@ Status BufferShard::FlushPageImpl(SharedPageDescriptor* d, size_t* skipped) {
   // its copy-out, so optimistic pins cannot land mid-flush; copies that
   // cannot be retired (pinned) are skipped — the WAL keeps them
   // recoverable and a later flush round catches them.
-  const DramMode dmode = d->dram.Mode();
-  if (dmode != DramMode::kNone) {
+  //
+  // The dirty read is latch-authoritative for a partial copy (its dirt is
+  // written under the dram latch); for a full one a just-unpinned
+  // writer's store may be missed, which only postpones that page to a
+  // later round.
+  if (d->DramResident() && d->dram.dirty.load(std::memory_order_relaxed)) {
+    const DramMode mode = d->dram.Mode();
     // Dirty DRAM state makes any NVM copy stale, so the NVM word must be
     // retired BEFORE the DRAM word: a reader that loses its optimistic
     // DRAM pin mid-flush would otherwise fall through to TryPinNvm and
-    // read pre-flush bytes (see TryEvictDramFrame). The dirty reads here
-    // are latch-authoritative for CLG/mini (their dirt is written under
-    // the dram latch); for kFull a just-unpinned writer's store may be
-    // missed, which only postpones that page to a later round.
-    bool mini_dirty = false;
-    if (dmode == DramMode::kMini) {
-      MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
-      mini_dirty = mp.AnyDirty();
-    }
-    const bool clg_dirty =
-        dmode == DramMode::kCacheLineGrained && d->cl.dirty.Any();
-    const bool full_dirty = dmode == DramMode::kFull &&
-                            d->dram.dirty.load(std::memory_order_relaxed);
+    // read pre-flush bytes (see TryEvictDramFrame).
     const bool nvm_resident = d->NvmResident();
-    const bool need_nvm =
-        nvm_resident && (mini_dirty || clg_dirty || full_dirty);
-    if (need_nvm && !d->nvm.TryRetire()) {
+    if (nvm_resident && !d->nvm.TryRetire()) {
       if (skipped != nullptr) ++*skipped;
       return Status::OK();  // NVM copy actively referenced; later round
     }
     if (!d->dram.TryRetire()) {  // actively referenced
-      if (need_nvm) d->nvm.Publish(DramMode::kFull, 0);
-      if (skipped != nullptr && (mini_dirty || clg_dirty || full_dirty)) {
-        ++*skipped;
-      }
+      if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
+      if (skipped != nullptr) ++*skipped;
       return Status::OK();
     }
     Status st = Status::OK();
-    if (clg_dirty) {
-      WriteBackUnitsToNvm(d);
-      d->cl.dirty.Reset();
-      d->dram.dirty.store(false, std::memory_order_relaxed);
-    } else if (mini_dirty) {
-      MiniPageView mp(MiniPtr(d->mini_id.load(std::memory_order_relaxed)));
-      const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-      const uint64_t nvm_off = nvm_pool_->FrameOffset(nf);
-      const uint32_t usize = mp.meta()->unit_size;
-      for (size_t s = 0; s < mp.count(); ++s) {
-        if (!mp.IsDirty(s)) continue;
-        const uint16_t unit = mp.meta()->slots[s];
-        (void)nvm_->Write(nvm_off + static_cast<uint64_t>(unit) * usize,
-                          mp.UnitPtr(s), usize);
-      }
-      mp.meta()->dirty_mask = 0;
-      d->nvm.dirty.store(true, std::memory_order_relaxed);
-      d->dram.dirty.store(false, std::memory_order_relaxed);
-    } else if (full_dirty) {
-      // After the SSD write the NVM copy (if any) is overwritten with the
-      // freshest data so later direct NVM reads never observe stale bytes.
+    // A partial copy's dirty units go to its NVM copy (persistent; the
+    // NVM half below takes them on to SSD). A full copy goes to SSD, and
+    // the NVM copy (if any) is overwritten with the freshest data so later
+    // direct NVM reads never observe stale bytes.
+    if (hymem_ == nullptr || !hymem_->WriteBack(d, mode)) {
       std::byte* ptr =
           dram_pool_->FramePtr(d->dram.frame.load(std::memory_order_relaxed));
       st = WriteToSsd(pid, ptr);
-      if (st.ok()) {
-        if (nvm_resident) {
-          const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
-          (void)nvm_->Write(nvm_pool_->FrameOffset(nf), ptr, kPageSize);
-          d->nvm.dirty.store(false, std::memory_order_relaxed);
-        }
-        d->dram.dirty.store(false, std::memory_order_relaxed);
+      if (st.ok() && nvm_resident) {
+        const frame_id_t nf = d->nvm.frame.load(std::memory_order_relaxed);
+        (void)nvm_->Write(nvm_pool_->FrameOffset(nf), ptr, kPageSize);
+        d->nvm.dirty.store(false, std::memory_order_relaxed);
       }
     }
-    if (need_nvm) d->nvm.Publish(DramMode::kFull, 0);
-    d->dram.Publish(dmode, 0);
+    if (st.ok()) d->dram.dirty.store(false, std::memory_order_relaxed);
+    if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
+    d->dram.Publish(mode, 0);
     SPITFIRE_RETURN_NOT_OK(st);
   }
 
-  if (d->NvmResident() && d->nvm.dirty.load(std::memory_order_relaxed)) {
+  // Without include_nvm (background checkpointing, Section 5.2) dirty NVM
+  // copies stay in place: they are already persistent.
+  if (include_nvm && d->NvmResident() &&
+      d->nvm.dirty.load(std::memory_order_relaxed)) {
     if (!d->nvm.TryRetire()) {
       if (skipped != nullptr) ++*skipped;
       return Status::OK();  // actively referenced
@@ -1816,81 +1368,25 @@ Status BufferShard::FlushPageImpl(SharedPageDescriptor* d, size_t* skipped) {
 
 Status BufferShard::FlushAll(bool include_nvm, size_t* skipped) {
   Status result = Status::OK();
-  if (include_nvm) {
-    descriptors_.ForEach([&](SharedPageDescriptor* d) {
-      Status st = FlushPageImpl(d, skipped);
-      // Drain per page rather than once per sweep: the I/O scheduler would
-      // otherwise coalesce the whole batch into a handful of device ops,
-      // and this path feeds checkpoints whose write accounting (and fault
-      // injection points) assume one write per flushed page.
+  descriptors_.ForEach([&](SharedPageDescriptor* d) {
+    Status st = FlushPageImpl(d, include_nvm, skipped);
+    // A full flush drains per page rather than once per sweep: the I/O
+    // scheduler would otherwise coalesce the whole batch into a handful
+    // of device ops, and this path feeds checkpoints whose write
+    // accounting (and fault injection points) assume one write per
+    // flushed page.
+    if (include_nvm) {
       const Status drained = DrainIo();
       if (st.ok()) st = drained;
-      if (!st.ok()) result = st;
-    });
-    return result;
-  }
-  descriptors_.ForEach([&](SharedPageDescriptor* d) {
-    {
-      // Background checkpointing (Section 5.2): only dirty DRAM pages are
-      // pushed down; NVM-resident modifications are already persistent.
-      SpinLatchGuard gd(d->dram_latch);
-      const DramMode mode = d->dram.Mode();
-      if (mode == DramMode::kFull &&
-          d->dram.dirty.load(std::memory_order_relaxed)) {
-        SpinLatchGuard gn(d->nvm_latch);
-        SpinLatchGuard gs(d->ssd_latch);
-        // NVM-before-DRAM retire order: the dirty DRAM copy makes the NVM
-        // copy stale, see FlushPage / TryEvictDramFrame.
-        const bool nvm_resident = d->NvmResident();
-        if (nvm_resident && !d->nvm.TryRetire()) {
-          if (skipped != nullptr) ++*skipped;
-          return;
-        }
-        if (!d->dram.TryRetire()) {  // actively referenced
-          if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
-          if (skipped != nullptr) ++*skipped;
-          return;
-        }
-        std::byte* ptr = dram_pool_->FramePtr(
-            d->dram.frame.load(std::memory_order_relaxed));
-        const Status st = WriteToSsd(d->pid, ptr);
-        if (st.ok()) {
-          if (nvm_resident) {
-            const frame_id_t nf =
-                d->nvm.frame.load(std::memory_order_relaxed);
-            (void)nvm_->Write(nvm_pool_->FrameOffset(nf), ptr, kPageSize);
-            d->nvm.dirty.store(false, std::memory_order_relaxed);
-          }
-          d->dram.dirty.store(false, std::memory_order_relaxed);
-        } else {
-          result = st;
-        }
-        if (nvm_resident) d->nvm.Publish(DramMode::kFull, 0);
-        d->dram.Publish(mode, 0);
-      } else if (mode == DramMode::kCacheLineGrained && d->cl.dirty.Any()) {
-        SpinLatchGuard gn(d->nvm_latch);
-        // NVM-before-DRAM retire order, as above.
-        if (!d->nvm.TryRetire()) {
-          if (skipped != nullptr) ++*skipped;
-          return;
-        }
-        if (!d->dram.TryRetire()) {  // actively referenced
-          d->nvm.Publish(DramMode::kFull, 0);
-          if (skipped != nullptr) ++*skipped;
-          return;
-        }
-        WriteBackUnitsToNvm(d);
-        d->cl.dirty.Reset();
-        d->dram.dirty.store(false, std::memory_order_relaxed);
-        d->nvm.Publish(DramMode::kFull, 0);
-        d->dram.Publish(mode, 0);
-      }
     }
+    if (!st.ok()) result = st;
   });
-  // One drain for the whole sweep: the staged writes coalesce while the
-  // sweep runs, and any async error surfaces here.
-  const Status drained = DrainIo();
-  if (result.ok()) result = drained;
+  if (!include_nvm) {
+    // One drain for the whole sweep: the staged writes coalesce while the
+    // sweep runs, and any async error surfaces here.
+    const Status drained = DrainIo();
+    if (result.ok()) result = drained;
+  }
   return result;
 }
 

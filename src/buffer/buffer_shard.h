@@ -12,7 +12,6 @@
 #include "buffer/page_descriptor.h"
 #include "buffer/stats.h"
 #include "common/status.h"
-#include "container/admission_queue.h"
 #include "storage/device.h"
 #include "storage/io_scheduler.h"
 #include "storage/nvm_device.h"
@@ -20,6 +19,7 @@
 namespace spitfire {
 
 class BufferShard;
+class HymemDram;
 
 // Whether a page is being fetched to be read or modified. The intent picks
 // which migration probability applies: Dr for reads, Dw for writes
@@ -42,12 +42,11 @@ struct BufferManagerOptions {
   // work well.
   size_t admission_queue_capacity = 0;
 
-  // HyMem optimizations (Figure 12 ablation knobs).
+  // HyMem optimizations (Figure 12 ablation knobs). With mini pages on,
+  // each shard hosts them in dram_frames / 8 frames (at least one).
   bool enable_fine_grained_loading = false;
   uint32_t load_granularity = 256;  // bytes; Figure 11 sweeps 64..512
   bool enable_mini_pages = false;
-  // DRAM frames reserved to host mini pages; 0 → dram_frames / 8.
-  size_t mini_host_frames = 0;
 
   // CLOCK reference-bit sampling on the hit path: a buffer hit records an
   // access with probability 1/k (k = replacer_sample_rate) instead of
@@ -135,16 +134,16 @@ struct BufferShardContext {
 // RAII pin on one tier's copy of a page. Obtained from
 // BufferManager::FetchPage / NewPage; releases the pin on destruction.
 //
-// Data access goes through ReadAt/WriteAt, which handle all DRAM
-// representations (full frame, cache-line-grained, mini page) and direct
-// NVM access, including on-demand unit loading and device cost accounting.
+// Data access goes through ReadAt/WriteAt: a full DRAM frame or an NVM
+// frame is copied directly (with device cost accounting); a partial DRAM
+// copy (HyMem's cache-line-grained or mini page) goes through HymemDram,
+// which loads missing units on demand.
 // Like any buffer manager, page *contents* are not serialized between
 // guard holders: concurrent accesses to overlapping byte ranges of one
 // page must be coordinated by the caller (the table layer uses MVTO
 // version locks; the B+Tree uses its optimistic version latch).
-// RawData() exposes the full 16 KB frame and is only valid for guards
-// whose page is fully materialized (it loads all units of a cache-line-
-// grained page on first use; unsupported for mini pages).
+// RawData() exposes the full 16 KB frame; a partial DRAM copy is first
+// materialized into a full frame.
 class PageGuard {
  public:
   PageGuard() = default;
@@ -175,7 +174,7 @@ class PageGuard {
   Status WriteAt(size_t offset, size_t size, const void* src);
 
   // Full-frame pointer (see class comment). `for_write` marks the page
-  // dirty. Returns nullptr for mini-page guards.
+  // dirty. Returns nullptr if a partial copy could not be materialized.
   std::byte* RawData(bool for_write = false);
 
   void MarkDirty();
@@ -300,8 +299,8 @@ class BufferShard {
   // Pin-free read of a page whose DRAM copy is a full frame: fills *out
   // and returns true without writing the page's descriptor. Counts and
   // samples the access exactly like a pinned DRAM hit. Returns false (and
-  // counts nothing) for anything else — NVM copies, cache-line-grained or
-  // mini copies, misses — which the caller fetches with a pin instead.
+  // counts nothing) for anything else — NVM copies, HyMem's partial
+  // copies, misses — which the caller fetches with a pin instead.
   bool ReadOptimistic(page_id_t pid, AccessIntent intent,
                       OptimisticRead* out);
 
@@ -404,16 +403,6 @@ class BufferShard {
   friend class PageGuard;
   friend class BackgroundWriter;
 
-  // --- mini page hosting ---
-  struct MiniRegion {
-    size_t per_frame = 0;
-    size_t capacity = 0;
-    std::vector<frame_id_t> host_frames;
-    std::unique_ptr<MpmcQueue<uint32_t>> free_list;
-    std::unique_ptr<Replacer> replacer;
-    std::vector<std::atomic<SharedPageDescriptor*>> owners;
-  };
-
   // Validates `pid` for a fetch and returns its descriptor (created on
   // first use), or null with *st set when the page was never allocated or
   // lies past the SSD's capacity.
@@ -492,19 +481,13 @@ class BufferShard {
   frame_id_t EvictOneDramFrame();
   frame_id_t EvictOneNvmFrame();
 
-  // Mini pages.
-  uint32_t AcquireMiniSlot();
-  bool TryEvictMini(uint32_t mini_id);
-  std::byte* MiniPtr(uint32_t mini_id);
-  // Promotes a mini page to a full frame after overflow. Caller holds the
-  // descriptor's dram latch; mode is kMini on entry, kFull on success.
-  Status PromoteMiniToFull(SharedPageDescriptor* d);
+  // Publishes frame `f` of `tier` as d's full copy, with `pins` pins
+  // granted to the caller: owner, frame, dirty, state word, replacer.
+  // Caller holds the tier latch and the copy is not resident.
+  void PublishFull(SharedPageDescriptor* d, Tier tier, frame_id_t f,
+                   bool dirty, uint32_t pins);
 
-  // Writes the DRAM copy's dirty content back into the page's NVM frame.
-  // Caller holds the dram latch (and the nvm latch for full pages).
-  void WriteBackUnitsToNvm(SharedPageDescriptor* d);
-
-  // Decides whether a dirty page evicted from DRAM is admitted into NVM
+  // Decides whether a page evicted from DRAM is admitted into NVM
   // (probability Nw, or HyMem's admission queue).
   bool DecideNvmAdmission(page_id_t pid);
 
@@ -515,14 +498,12 @@ class BufferShard {
   Status WriteToSsd(page_id_t pid, const std::byte* data);
 
   // FlushPage body without the I/O drain (FlushAll batches the drain).
-  // `*skipped` (optional) is incremented when a dirty copy could not be
-  // flushed because it was actively referenced.
-  Status FlushPageImpl(SharedPageDescriptor* d, size_t* skipped = nullptr);
-
-  // Loads the units covering [offset, offset+size) of a cache-line-grained
-  // page from its NVM copy. Caller holds the dram latch.
-  void EnsureUnitsResident(SharedPageDescriptor* d, size_t offset,
-                           size_t size);
+  // A dirty DRAM copy goes to SSD (a partial one to its NVM copy); with
+  // `include_nvm` a dirty NVM copy then goes to SSD too. `*skipped`
+  // (optional) is incremented when a dirty copy could not be flushed
+  // because it was actively referenced.
+  Status FlushPageImpl(SharedPageDescriptor* d, bool include_nvm,
+                       size_t* skipped = nullptr);
 
   // Data plane used by PageGuard.
   Status GuardRead(SharedPageDescriptor* d, Tier tier, size_t offset,
@@ -545,8 +526,9 @@ class BufferShard {
 
   std::unique_ptr<BufferPool> dram_pool_;
   std::unique_ptr<BufferPool> nvm_pool_;
-  std::unique_ptr<AdmissionQueue> admission_queue_;
-  MiniRegion mini_;
+  // HyMem's partial DRAM copies and admission queue; null unless one of
+  // its options is set.
+  std::unique_ptr<HymemDram> hymem_;
 
   // pid → descriptor map over this shard's slice of the page-id space,
   // sized from the SSD (a pid past its capacity has no descriptor).

@@ -5,7 +5,6 @@
 
 #include "common/constants.h"
 #include "common/macros.h"
-#include "hymem/cacheline_page.h"
 #include "sync/optimistic_latch.h"
 #include "sync/spin_latch.h"
 
@@ -14,11 +13,13 @@ namespace spitfire {
 // Representation of a page's copy on a buffered tier.
 //   kNone              — not resident on this tier
 //   kFull              — a whole 16 KB frame
-//   kCacheLineGrained  — a full frame, but only some loading units are
-//                        resident (HyMem Figure 2a; DRAM only)
-//   kMini              — a mini page holding at most sixteen units
-//                        (HyMem Figure 2b; DRAM only)
-// NVM copies only use kNone / kFull.
+//   kCacheLineGrained  — a DRAM frame of which only some loading units are
+//                        resident (HyMem Figure 2a)
+//   kMini              — a mini page holding at most sixteen units; `frame`
+//                        is then its mini-page slot (HyMem Figure 2b)
+// NVM copies only use kNone / kFull. The two partial DRAM representations
+// exist only when a HyMem option is on, and only HymemDram
+// (src/hymem/hymem_dram.h) reads or writes their contents.
 enum class DramMode : uint8_t {
   kNone = 0,
   kFull = 1,
@@ -140,7 +141,7 @@ struct TierState {
                std::memory_order_release);
   }
 
-  // Switches the mode of a resident copy (kMini → kFull promotion) while
+  // Switches the mode of a resident copy (a partial copy → kFull) while
   // preserving concurrent pin traffic. Caller holds the tier latch.
   void SwitchMode(DramMode to) {
     uint64_t w = word.load(std::memory_order_relaxed);
@@ -210,14 +211,6 @@ struct SharedPageDescriptor {
   TierState dram;
   TierState nvm;
 
-  // --- DRAM representation details, guarded by dram_latch ---
-  // Mini-page slot id when the DRAM mode is kMini (frame is then unused).
-  // Atomic only so the pin fast path may read it sloppily for replacer
-  // accounting; authoritative updates happen under dram_latch.
-  std::atomic<uint32_t> mini_id{0};
-  // Resident/dirty unit masks when the DRAM mode is kCacheLineGrained.
-  CacheLineState cl;
-
   // --- Asynchronous miss path, guarded by io_latch ---
   // io_latch orders strictly AFTER the tier latches: the completion takes
   // it inside dram_latch+nvm_latch (to detach waiters with no gap between
@@ -232,6 +225,11 @@ struct SharedPageDescriptor {
   bool DramResident() const { return dram.Resident(); }
   bool NvmResident() const { return nvm.Resident(); }
 };
+
+// One descriptor per page ever touched: HyMem's per-page state lives in
+// HymemDram's side tables, not here.
+static_assert(sizeof(SharedPageDescriptor) <= 80,
+              "SharedPageDescriptor grew past 80 bytes");
 
 }  // namespace spitfire
 

@@ -88,11 +88,6 @@ Status Database::InitCommon(bool fresh) {
   bopts.nvm_frames = opts_.nvm_frames;
   bopts.num_shards = opts_.num_shards;
   bopts.policy = opts_.policy;
-  bopts.nvm_admission = opts_.nvm_admission;
-  bopts.admission_queue_capacity = opts_.admission_queue_capacity;
-  bopts.enable_fine_grained_loading = opts_.enable_fine_grained_loading;
-  bopts.load_granularity = opts_.load_granularity;
-  bopts.enable_mini_pages = opts_.enable_mini_pages;
   bopts.ssd = env_.db_ssd.get();
   bopts.nvm = env_.nvm.get();
   bopts.dram_backing = opts_.dram_backing;

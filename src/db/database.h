@@ -24,11 +24,6 @@ struct DatabaseOptions {
   // Buffer-manager shards (BufferManagerOptions::num_shards); 0 = auto.
   size_t num_shards = 0;
   MigrationPolicy policy = MigrationPolicy::Eager();
-  NvmAdmissionMode nvm_admission = NvmAdmissionMode::kProbabilistic;
-  size_t admission_queue_capacity = 0;
-  bool enable_fine_grained_loading = false;
-  uint32_t load_granularity = 256;
-  bool enable_mini_pages = false;
 
   // Devices.
   uint64_t ssd_capacity = 256ull * 1024 * 1024;

@@ -1,7 +1,6 @@
 #ifndef SPITFIRE_HYMEM_CACHELINE_PAGE_H_
 #define SPITFIRE_HYMEM_CACHELINE_PAGE_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "common/constants.h"
@@ -28,60 +27,27 @@ class UnitBitmap256 {
     words_[i >> 6] |= 1ULL << (i & 63);
   }
 
-  void Clear(size_t i) {
-    SPITFIRE_DCHECK(i < kMaxUnits);
-    words_[i >> 6] &= ~(1ULL << (i & 63));
-  }
-
   bool Test(size_t i) const {
     SPITFIRE_DCHECK(i < kMaxUnits);
     return words_[i >> 6] & (1ULL << (i & 63));
   }
 
-  // True if all of [first, last] are set.
-  bool TestRange(size_t first, size_t last) const {
-    for (size_t i = first; i <= last; ++i) {
-      if (!Test(i)) return false;
-    }
-    return true;
-  }
-
-  size_t CountSet() const {
-    size_t n = 0;
-    for (uint64_t w : words_) n += static_cast<size_t>(__builtin_popcountll(w));
-    return n;
-  }
-
-  bool Any() const {
-    return (words_[0] | words_[1] | words_[2] | words_[3]) != 0;
-  }
-
-  uint64_t word(size_t i) const { return words_[i]; }
-
  private:
   uint64_t words_[4];
 };
 
-// Bookkeeping for a cache-line-grained DRAM page: which loading units have
+// Unit masks of a cache-line-grained DRAM copy: which loading units have
 // been pulled up from the NVM copy, and which were dirtied and must be
-// written back on eviction. The paper stores these masks in the page
-// header (Figure 2a); we keep them in the DRAM page descriptor, which is
-// equivalent and avoids stealing page payload bytes.
-//
-// Guarded by the descriptor's DRAM tier latch.
+// written back. The paper stores these masks in the page header (Figure
+// 2a); HymemDram keeps one per DRAM frame in a side table, which is
+// equivalent and steals no page payload bytes.
 struct CacheLineState {
   UnitBitmap256 resident;
   UnitBitmap256 dirty;
-  // Loading granularity for this page instance, in bytes (64..512).
-  uint32_t unit_size = 256;
 
-  size_t UnitsPerPage() const { return kPageSize / unit_size; }
-  size_t UnitFor(size_t offset) const { return offset / unit_size; }
-
-  void Reset(uint32_t unit_bytes) {
+  void Reset() {
     resident.Reset();
     dirty.Reset();
-    unit_size = unit_bytes;
   }
 };
 

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "buffer/descriptor_table.h"
-#include "container/admission_queue.h"
+#include "hymem/admission_queue.h"
 #include "container/concurrent_bitmap.h"
 #include "container/mpmc_queue.h"
 

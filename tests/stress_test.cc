@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "buffer/buffer_manager.h"
+#include "hymem/mini_page.h"
 #include "storage/perf_model.h"
 #include "storage/ssd_device.h"
 
@@ -171,7 +172,6 @@ TEST_F(StressTest, FineGrainedAndMiniUnderConcurrency) {
   opt.policy = MigrationPolicy::Eager();
   opt.enable_fine_grained_loading = true;
   opt.enable_mini_pages = true;
-  opt.mini_host_frames = 4;
   opt.ssd = &ssd;
   BufferManager bm(opt);
 
@@ -214,6 +214,10 @@ TEST_F(StressTest, FineGrainedAndMiniUnderConcurrency) {
   stop.store(true);
   for (auto& w : workers) w.join();
   EXPECT_EQ(errors.load(), 0);
+  // One host frame (12 / 8) holds PerFrame(256) mini pages; more admits
+  // than that means slots were recycled by evictions or promotions.
+  EXPECT_GT(bm.stats().Snapshot().mini_page_admits,
+            MiniPageView::PerFrame(256));
 }
 
 // Hammers the latch-free pin path against eviction pressure (foreground
