@@ -122,6 +122,16 @@ Status Table::LogWrite(Transaction* txn, LogRecordType type, uint64_t key,
 
 Status Table::Insert(Transaction* txn, uint64_t key, const void* tuple) {
   FetchContext* ctx = txn->fetch_ctx;
+  // A key the index already holds may end in a committed tombstone: the
+  // insert is then a successor version and starts at the head claim.
+  // Writing a throw-away slot first would widen the window in which a
+  // younger reader raises the head's read_ts past ours.
+  uint64_t head = 0;
+  const Status found = index_->Lookup(key, &head, ctx);
+  if (found.ok()) {
+    return WriteInternal(txn, key, tuple, /*allow_tombstone_head=*/true);
+  }
+  if (!found.IsNotFound()) return found;
   SPITFIRE_ASSIGN_OR_RETURN(const rid_t rid, AllocateSlot());
   {
     // On any pin failure — including a parked miss — return the slot to
@@ -136,6 +146,7 @@ Status Table::Insert(Transaction* txn, uint64_t key, const void* tuple) {
     h.writer = txn->id();
     h.begin_ts = kMaxTimestamp;  // uncommitted
     h.read_ts = 0;
+    h.end_ts = kMaxTimestamp;
     h.prev = kInvalidRid;
     h.key = key;
     h.flags = kFlagAllocated;
@@ -149,8 +160,8 @@ Status Table::Insert(Transaction* txn, uint64_t key, const void* tuple) {
     // parked index traversal resumes (the re-run gets a fresh slot).
     DeferFree(rid);
     if (st.IsBusy() || st.IsWouldBlock()) return st;
-    // The key exists in the index — but it may be a committed tombstone,
-    // in which case the insert proceeds as a successor version.
+    // Another transaction inserted the key since the lookup above; as
+    // there, its chain may already end in a committed tombstone.
     return WriteInternal(txn, key, tuple, /*allow_tombstone_head=*/true);
   }
   SPITFIRE_RETURN_NOT_OK(
@@ -208,6 +219,15 @@ Status Table::Read(Transaction* txn, uint64_t key, void* out) {
         const uint64_t claim = AtomicField(ref.hdr->writer).load();
         if (claim != 0 && claim != txn->id() && claim < txn->ts()) {
           return Status::Aborted("older write in flight");
+        }
+        // A commit stamps end_ts before it releases its claim, so load it
+        // only now. Superseded at or below our timestamp means the index
+        // head we started from was stale (a commit replaced it after our
+        // lookup, and GC may since have cleared its flags): restart from
+        // the index.
+        if (AtomicField(ref.hdr->end_ts).load() <= txn->ts()) {
+          SPITFIRE_RETURN_NOT_OK(index_->Lookup(key, &rid, ctx));
+          continue;
         }
       }
       if (ref.hdr->flags & kFlagTombstone) {
@@ -332,6 +352,7 @@ Status Table::WriteInternal(Transaction* txn, uint64_t key, const void* tuple,
     h.writer = txn->id();
     h.begin_ts = kMaxTimestamp;
     h.read_ts = 0;
+    h.end_ts = kMaxTimestamp;
     h.prev = head;
     h.key = key;
     h.flags = kFlagAllocated | (tombstone ? kFlagTombstone : 0);
@@ -402,6 +423,10 @@ void Table::FinalizeCommit(Transaction* txn, const Transaction::WriteOp& op) {
     auto old_r = PinSlot(op.old_rid, AccessIntent::kWrite);
     if (old_r.ok()) {
       SlotRef old = old_r.MoveValue();
+      // Mark the old head superseded before releasing its claim: a reader
+      // that got it from the index before our Upsert and sees the claim
+      // gone also sees the mark (Read loads end_ts after the claim).
+      AtomicField(old.hdr->end_ts).store(txn->ts());
       AtomicField(old.hdr->writer).store(0, std::memory_order_release);
       old.guard.MarkDirty();
     }
@@ -486,6 +511,9 @@ void Table::TruncateChain(rid_t head) {
     if (!gref_r.ok()) return;
     SlotRef gref = gref_r.MoveValue();
     const rid_t next = gref.hdr->prev;
+    // Garbage has a committed successor, so readers that still reach it
+    // through a stale head see its end_ts mark and never these flags.
+    SPITFIRE_DCHECK(AtomicField(gref.hdr->end_ts).load() <= watermark);
     gref.hdr->flags = 0;
     gref.guard.MarkDirty();
     DeferFree(garbage);
@@ -561,14 +589,22 @@ Status Table::RebuildFromHeap(timestamp_t* max_ts) {
     }
   }
 
-  // Scrub committed versions no head reaches (tails orphaned by the
+  // Re-derive each reachable version's end_ts from its repaired chain (a
+  // crash can persist a mark whose successor was scrubbed, or lose one),
+  // then scrub committed versions no head reaches (tails orphaned by the
   // severing above): nothing can ever read them, and leaving them
   // allocated leaks their slots.
   std::set<rid_t> reachable;
   for (const auto& [key, entry] : heads) {
     rid_t cur = entry.second;
+    timestamp_t succ_begin = kMaxTimestamp;
     while (cur != kInvalidRid && reachable.insert(cur).second) {
       SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref, PinSlot(cur, AccessIntent::kRead));
+      if (ref.hdr->end_ts != succ_begin) {
+        ref.hdr->end_ts = succ_begin;
+        ref.guard.MarkDirty();
+      }
+      succ_begin = ref.hdr->begin_ts;
       cur = ref.hdr->prev;
     }
   }
@@ -638,8 +674,11 @@ Status Table::ValidateHeap(std::string* why) {
       if (it->second.second > succ_ts) {
         return fail("chain not ordered newest-first");
       }
-      succ_ts = it->second.second;
       SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref, PinSlot(cur, AccessIntent::kRead));
+      if (ref.hdr->end_ts != succ_ts) {
+        return fail("end_ts is not the successor's begin_ts");
+      }
+      succ_ts = it->second.second;
       cur = ref.hdr->prev;
     }
     uint64_t idx_head = 0;
@@ -658,6 +697,8 @@ Status Table::RecoveryApply(uint64_t key, const void* tuple, timestamp_t ts) {
   if (st.ok()) {
     SPITFIRE_ASSIGN_OR_RETURN(SlotRef ref, PinSlot(head, AccessIntent::kRead));
     if (ref.hdr->begin_ts >= ts) return Status::OK();  // already applied
+    ref.hdr->end_ts = ts;  // superseded by the version installed below
+    ref.guard.MarkDirty();
   } else if (!st.IsNotFound()) {
     return st;
   }
@@ -668,6 +709,7 @@ Status Table::RecoveryApply(uint64_t key, const void* tuple, timestamp_t ts) {
     h.writer = 0;
     h.begin_ts = ts;
     h.read_ts = ts;
+    h.end_ts = kMaxTimestamp;
     h.prev = st.ok() ? head : kInvalidRid;
     h.key = key;
     h.flags = kFlagAllocated | (tuple == nullptr ? kFlagTombstone : 0);

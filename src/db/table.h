@@ -32,11 +32,18 @@ inline uint32_t HeapPageTableId(uint32_t t) { return t & 0x00FFFFFFu; }
 //
 // MVTO rules (single timestamp per transaction):
 //   read(T, k): newest version V with begin_ts <= ts(T); bump
-//               V.read_ts = max(V.read_ts, ts(T)).
+//               V.read_ts = max(V.read_ts, ts(T)). A version whose
+//               end_ts <= ts(T) was superseded by a commit T must see: T
+//               got it through a stale index head, so it re-reads the
+//               head from the index.
 //   write(T, k): abort if head is write-locked, newer than T, or was read
 //               by a transaction younger than T; otherwise lock the head
 //               and install an uncommitted successor.
-// Commit stamps installed versions with ts(T); abort unlinks them.
+//   insert(T, k): a key the index already holds (a tombstone chain) is
+//               written like an update, straight from the head claim;
+//               only a fresh key gets a new chain.
+// Commit stamps installed versions with ts(T) and the heads they replace
+// with end_ts = ts(T) before releasing them; abort unlinks them.
 class Table {
  public:
   struct Options {
@@ -49,6 +56,7 @@ class Table {
     uint64_t writer;    // txn id write-locking this version (0 = free)
     uint64_t begin_ts;  // kMaxTimestamp while uncommitted
     uint64_t read_ts;   // largest timestamp that read this version
+    uint64_t end_ts;    // successor's commit ts; kMaxTimestamp until one
     rid_t prev;         // next-older version
     uint64_t key;
     uint32_t flags;  // kFlagAllocated | kFlagTombstone
@@ -95,8 +103,9 @@ class Table {
   // Registers a heap page discovered during the recovery scan.
   void AdoptPage(page_id_t pid);
   // Scrubs uncommitted versions, resets stale write locks, rebuilds the
-  // index to point at each key's newest committed version, and rebuilds
-  // the slot free list. Reports the largest committed begin_ts seen so the
+  // index to point at each key's newest committed version, re-derives
+  // every end_ts from the repaired chains, and rebuilds the slot free
+  // list. Reports the largest committed begin_ts seen so the
   // timestamp dispenser can be advanced past it.
   Status RebuildFromHeap(timestamp_t* max_ts = nullptr);
   // Applies a logged write during redo if the heap does not already have a
@@ -106,7 +115,8 @@ class Table {
   // Verifies heap/index invariants on a QUIESCENT table (no active
   // transactions): every allocated version is committed and unlocked,
   // version chains are well-formed (same key, newest-first, acyclic, no
-  // dangling links), and the index maps each key to its newest committed
+  // dangling links, each end_ts its successor's begin_ts and the head's
+  // kMaxTimestamp), and the index maps each key to its newest committed
   // version. Returns Corruption (and fills *why) on the first violation.
   Status ValidateHeap(std::string* why = nullptr);
 
