@@ -336,15 +336,12 @@ Result<PageGuard> BufferShard::FetchPage(page_id_t pid,
       }
     } else if (s == FetchSubmit::kQueuedJoined) {
       // A joiner's latency is covered by the leader's spin (or by the
-      // async ring); don't burn the core next to it. Sleep on the
-      // scheduler's completion broadcast — epoch-checked, so a completion
-      // firing between the ready check and the wait returns immediately —
-      // and steal queued prefetch work on each wake, exactly as the old
-      // flight join did through the shard condvar.
+      // async ring, or the completion worker); don't burn the core next to
+      // it. Sleep on the scheduler's completion broadcast — epoch-checked,
+      // so a completion firing between the ready check and the wait
+      // returns immediately.
       while (!t.ready.load(std::memory_order_acquire)) {
         const uint64_t epoch = io_->completion_epoch();
-        if (t.ready.load(std::memory_order_acquire)) break;
-        if (io_->TryRunPendingTask()) continue;
         if (t.ready.load(std::memory_order_acquire)) break;
         io_->WaitForCompletion(epoch, 100'000);
       }
@@ -449,9 +446,9 @@ FetchSubmit BufferShard::SubmitFetchOnDescriptor(SharedPageDescriptor* d,
       t->next = d->io_waiters;
       d->io_waiters = t;
       d->io_latch.Unlock();
-      // Misses that piggyback on an in-flight read are dedup wins exactly
-      // like scheduler-level flight joiners; count them with the same
-      // stat so "N threads, one device read" stays observable.
+      // Misses that piggyback on an in-flight read (a demand miss's or a
+      // read-ahead window's) are the dedup wins; the scheduler's stat
+      // keeps "N threads, one device read" observable next to read_ops.
       io_->stats().reads_deduped.fetch_add(1, std::memory_order_relaxed);
       stats_.Add(BufferCounter::kMissJoins);
       return FetchSubmit::kQueuedJoined;
@@ -492,44 +489,39 @@ FetchSubmit BufferShard::SubmitFetchOnDescriptor(SharedPageDescriptor* d,
 }
 
 void BufferShard::LeadMiss(SharedPageDescriptor* d) {
-  // Kick read-ahead before submitting: the window claim registers this
-  // page's read flight, so the submission below joins the coalesced
-  // window read instead of leading a separate single-page device op.
-  MaybeScheduleReadAhead(d->pid);
-  if (d->DramResident() || d->NvmResident()) {
-    // The window ran inline and installed the page. Resolve the in-flight
-    // state without touching the device; waiters re-dispatch and hit.
-    CompleteMiss(d, Status::Busy("page appeared during read-ahead"),
-                 /*data=*/nullptr, /*seq=*/0);
-    return;
-  }
-  io_->SubmitRead(
-      SsdOffset(d->pid),
-      [this, d](const Status& st, const std::byte* data, uint64_t seq) {
-        CompleteMiss(d, st, data, seq);
-      });
+  // A read-ahead window started by this miss reads the page in its one
+  // coalesced device op; otherwise the page gets a single-page read.
+  if (MaybeScheduleReadAhead(d)) return;
+  io_->SubmitRead(SsdOffset(d->pid), 1,
+                  [this, d](const Status& st, const std::byte* data,
+                            const uint64_t* seqs) {
+                    // Releases the admission slot taken when the
+                    // descriptor entered kIoInflight.
+                    inflight_misses_.fetch_sub(1, std::memory_order_acq_rel);
+                    CompleteMiss(d, st, data, seqs[0]);
+                  });
 }
 
 // ---------------------------------------------------------------------------
 // Asynchronous miss path: completion half
 // ---------------------------------------------------------------------------
 
+FetchTicket* BufferShard::DetachWaiters(SharedPageDescriptor* d) {
+  d->io_latch.Lock();
+  FetchTicket* w = d->io_waiters;
+  d->io_waiters = nullptr;
+  d->io_state = IoState::kIdle;
+  d->io_latch.Unlock();
+  return w;
+}
+
 void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
                                  const std::byte* data, uint64_t seq) {
-  // One completion per leader: releases the admission slot taken when the
-  // descriptor entered kIoInflight (re-dispatched waiters that lead a new
-  // miss take a fresh slot).
-  inflight_misses_.fetch_sub(1, std::memory_order_acq_rel);
   if (shutting_down_.load(std::memory_order_acquire)) {
-    // Tear-down drain: the scheduler fires leftover flights early. Fail
+    // Tear-down drain: the scheduler fires leftover reads early. Fail
     // every waiter without installing — tickets stay guard-free, so they
     // can safely outlive the buffer manager.
-    d->io_latch.Lock();
-    FetchTicket* w = d->io_waiters;
-    d->io_waiters = nullptr;
-    d->io_state = IoState::kIdle;
-    d->io_latch.Unlock();
-    while (w != nullptr) {
+    for (FetchTicket* w = DetachWaiters(d); w != nullptr;) {
       FetchTicket* next = w->next;
       w->next = nullptr;
       FinishTicket(w, Status::Busy("buffer manager shutting down"));
@@ -538,47 +530,38 @@ void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
     return;
   }
   FetchTicket* waiters = nullptr;
-  Tier tier = Tier::kDram;
   bool installed = false;
-  PageGuard first;
-  {
+  if (st.ok()) {
     SpinLatchGuard gd(d->dram_latch);
     SpinLatchGuard gn(d->nvm_latch);
-    if (st.ok()) {
-      if (d->DramResident() || d->NvmResident()) {
-        st = Status::Busy("page appeared while installing");
-      } else if (io_->WriteSeq(SsdOffset(d->pid)) != seq) {
-        // A write-back landed while the read was in flight; the
-        // re-dispatch below is served from the scheduler's staged image.
-        st = Status::Busy("page written during miss read");
+    PageGuard first;
+    if (d->DramResident() || d->NvmResident()) {
+      st = Status::Busy("page appeared while installing");
+    } else if (io_->WriteSeq(SsdOffset(d->pid)) != seq) {
+      // A write-back landed while the read was in flight; the
+      // re-dispatch below is served from the scheduler's staged image.
+      st = Status::Busy("page written during miss read");
+    } else {
+      Result<PageGuard> r = InstallPinned(d, data);
+      if (r.ok()) {
+        first = r.MoveValue();
+        installed = true;
       } else {
-        Result<PageGuard> r = InstallPinned(d, data);
-        if (r.ok()) {
-          first = r.MoveValue();
-          tier = first.tier();
-          installed = true;
-        } else {
-          st = r.status();
-        }
+        st = r.status();
       }
     }
 
-    // Detach the waiter list and clear the in-flight mark. io_latch nests
-    // inside the tier latches only here (submitters take it alone), so
-    // install → detach → pin is one atomic step with respect to evictors:
-    // nothing can retire the fresh copy before every waiter holds a pin.
-    d->io_latch.Lock();
-    waiters = d->io_waiters;
-    d->io_waiters = nullptr;
-    d->io_state = IoState::kIdle;
-    d->io_latch.Unlock();
-
     if (installed) {
-      bool first_pin_used = false;
+      // Detach the waiter list and clear the in-flight mark. io_latch
+      // nests inside the tier latches only here (submitters take it
+      // alone), so install → detach → pin is one atomic step with respect
+      // to evictors: nothing can retire the fresh copy before every
+      // waiter holds a pin.
+      waiters = DetachWaiters(d);
+      const Tier tier = first.tier();
       for (FetchTicket* t = waiters; t != nullptr; t = t->next) {
-        if (!first_pin_used) {
+        if (first.valid()) {
           t->guard = std::move(first);  // the install's own pin
-          first_pin_used = true;
         } else {
           // Cannot fail: the copy was published above and both tier
           // latches are held, so no evictor can retire it.
@@ -610,10 +593,8 @@ void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
       woke_joiner = true;
       t = next;
     }
-    // When this completion ran inside a scheduler callback the scheduler
-    // broadcasts right after it; signal here too so tickets completed on
-    // the direct path (LeadMiss's resident short-circuit, re-dispatch)
-    // also wake their sleeping owners promptly.
+    // Wake sleeping owners promptly, also for tickets completed outside a
+    // scheduler callback (re-dispatch).
     if (woke_joiner) io_->SignalCompletions();
     return;
   }
@@ -624,7 +605,7 @@ void BufferShard::CompleteMiss(SharedPageDescriptor* d, Status st,
   // recursion when the simulated device completes re-reads inline.
   // Resubmission runs outside all latches for the same reason.
   bool finished_any = false;
-  for (FetchTicket* t = waiters; t != nullptr;) {
+  for (FetchTicket* t = DetachWaiters(d); t != nullptr;) {
     FetchTicket* next = t->next;
     t->next = nullptr;
     if (!st.IsBusy()) {
@@ -730,8 +711,9 @@ void BufferShard::PublishFull(SharedPageDescriptor* d, Tier tier,
 // Read-ahead
 // ---------------------------------------------------------------------------
 
-void BufferShard::MaybeScheduleReadAhead(page_id_t pid) {
-  if (options_.io_scheduler.read_ahead_pages == 0) return;
+bool BufferShard::MaybeScheduleReadAhead(SharedPageDescriptor* lead) {
+  if (options_.io_scheduler.read_ahead_pages == 0) return false;
+  const page_id_t pid = lead->pid;
   const page_id_t prev = last_miss_pid_.exchange(pid);
   bool trigger = false;
   if (pid == ra_next_pid_.load(std::memory_order_relaxed)) {
@@ -743,33 +725,25 @@ void BufferShard::MaybeScheduleReadAhead(page_id_t pid) {
   } else {
     seq_miss_run_.store(1, std::memory_order_relaxed);
   }
-  if (!trigger) return;
-  if (read_ahead_inflight_.exchange(true)) return;  // a window is in flight
-  // The window INCLUDES the missing page: the triggering miss then joins
-  // the window's read flight (or finds the page already installed), so
-  // the whole window is one coalesced device op with no separate
-  // front-page read. Steal the queued execution right away: this thread
-  // is about to wait on the window's boundary page anyway, and on the
-  // synchronous simulated device an inline read beats racing the worker
-  // for the core.
-  if (ClaimAndQueueWindow(pid)) io_->TryRunPendingTask();
+  if (!trigger) return false;
+  if (read_ahead_inflight_.exchange(true)) return false;  // one in flight
+  // The window INCLUDES the missing page, so the whole window is one
+  // coalesced device op with no separate front-page read.
+  return StartWindow(pid, lead);
 }
 
-bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
-  // Precondition: this thread owns read_ahead_inflight_; ownership passes
-  // to the queued execution on success and is released here on failure.
+bool BufferShard::StartWindow(page_id_t start, SharedPageDescriptor* lead) {
+  const size_t ra = options_.io_scheduler.read_ahead_pages;
   const page_id_t horizon = std::min<page_id_t>(
       next_page_id_->load(std::memory_order_relaxed),
       descriptors_.max_pages());
   // Skip pages that are already resident (e.g. whole windows surviving
-  // from the scan's previous pass over the database). Claiming them is
-  // not just wasted transfer: the front HITS straight through a resident
-  // window, so no miss ever joins its flights, nobody steals its queued
-  // execution, and the chain stalls holding the one-window gate while
-  // the front runs ahead on single-page reads. At a miss-triggered call
-  // the first page just missed, so this loop exits immediately; it only
-  // walks (bounded) when the stall it prevents would otherwise begin.
-  size_t trim_budget = 4 * options_.io_scheduler.read_ahead_pages;
+  // from the scan's previous pass over the database): the front HITS
+  // straight through a resident window, so a window placed there would
+  // be read for nothing while the front runs ahead on single-page reads.
+  // At a miss-triggered call the first page just missed, so this loop
+  // exits immediately; it only walks (bounded) on a chained call.
+  size_t trim_budget = 4 * ra;
   while (start < horizon && OwnsPage(start)) {
     SharedPageDescriptor* d = descriptors_.GetOrCreate(start);
     if (!d->DramResident() && !d->NvmResident()) break;
@@ -777,8 +751,7 @@ bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
     if (--trim_budget == 0) break;
   }
   size_t n = start < horizon && trim_budget > 0 && OwnsPage(start)
-                 ? std::min<size_t>(options_.io_scheduler.read_ahead_pages,
-                                    horizon - start)
+                 ? std::min<size_t>(ra, horizon - start)
                  : 0;
   // Clamp the window to this shard's contiguous run of pages: routing is
   // block-granular (kShardBlockBits), so a window crossing the block edge
@@ -794,95 +767,118 @@ bool BufferShard::ClaimAndQueueWindow(page_id_t start) {
   }
   // A miss exactly at the window's end chains the next window without
   // rebuilding a two-miss run (see MaybeScheduleReadAhead); any access
-  // inside [previous window, claim frontier) marks the chain as consumed
-  // (see FetchPage). The lower bound trails by one window because the
-  // front may still be consuming the window behind the one claimed here
-  // when the next life-or-death decision is made.
-  if (start >= options_.io_scheduler.read_ahead_pages) {
-    ra_live_lo_.store(start - options_.io_scheduler.read_ahead_pages,
-                      std::memory_order_relaxed);
-  } else {
-    ra_live_lo_.store(0, std::memory_order_relaxed);
-  }
+  // inside [previous window, window end) marks the chain as consumed (see
+  // NoteChainAccess). The lower bound trails by one window because the
+  // front may still be consuming the window behind this one when the next
+  // chain decision is made.
+  ra_live_lo_.store(start >= ra ? start - ra : 0, std::memory_order_relaxed);
   ra_next_pid_.store(start + n, std::memory_order_relaxed);
 
-  // Claim the window's read flights NOW — from this point every miss on
-  // a window page joins a flight instead of leading its own single-page
-  // device read — with no residency pre-scan: a claimed page that turns
-  // out to be resident costs only its share of the coalesced transfer
-  // and is dropped by InstallPrefetched's residency and write-sequence
-  // checks. Only the device work is deferred.
-  std::shared_ptr<void> claim = io_->ClaimPrefetch(SsdOffset(start), n);
-  if (claim == nullptr) {
+  // Mark every idle, non-resident page kIoInflight: from here on a miss on
+  // a window page parks on its descriptor instead of leading its own read.
+  // Pages already resident or being read stay with their owner.
+  ReadAheadWindow w;
+  w.start = start;
+  w.end = start + n;
+  size_t first = n, last = 0;
+  std::vector<SharedPageDescriptor*> marked(n, nullptr);
+  for (size_t i = 0; i < n; ++i) {
+    SharedPageDescriptor* d = descriptors_.GetOrCreate(start + i);
+    if (d == lead) {
+      w.lead = lead;  // already kIoInflight on this miss's behalf
+    } else {
+      d->io_latch.Lock();
+      const bool idle = d->io_state == IoState::kIdle && !d->DramResident() &&
+                        !d->NvmResident();
+      if (idle) d->io_state = IoState::kIoInflight;
+      d->io_latch.Unlock();
+      if (!idle) continue;
+    }
+    marked[i] = d;
+    first = std::min(first, i);
+    last = i;
+  }
+  if (first == n) {
     read_ahead_inflight_.store(false);
     return false;
   }
-  const bool queued = io_->Submit([this, claim, start, n] {
-    PrefetchExecute(claim, start, n);
-  });
-  if (!queued) {
-    // Shutting down: the claim must still complete or joiners hang.
-    PrefetchExecute(claim, start, n);
+
+  // One device op over the marked span; unmarked pages inside it cost
+  // only their share of the coalesced transfer.
+  w.pages.assign(marked.begin() + first, marked.begin() + last + 1);
+  const bool took_lead = w.lead != nullptr;
+  const uint64_t offset = SsdOffset(start + first);
+  const size_t span = w.pages.size();
+  io_->SubmitRead(offset, span,
+                  [this, w = std::move(w)](const Status& st,
+                                           const std::byte* data,
+                                           const uint64_t* seqs) {
+                    CompleteWindow(w, st, data, seqs);
+                  });
+  return took_lead;
+}
+
+void BufferShard::CompleteWindow(const ReadAheadWindow& w, const Status& st,
+                                 const std::byte* data,
+                                 const uint64_t* seqs) {
+  if (w.lead != nullptr) {
+    inflight_misses_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  return true;
+  const size_t n = w.pages.size();
+  // Which pages have parked misses, sampled before anything is handed
+  // over. Misses other than the lead's are a scan front consuming the
+  // window.
+  std::vector<char> waited(n, 0);
+  size_t joined = 0;
+  for (size_t i = 0; i < n; ++i) {
+    SharedPageDescriptor* d = w.pages[i];
+    if (d == nullptr) continue;
+    d->io_latch.Lock();
+    waited[i] = d->io_waiters != nullptr;
+    d->io_latch.Unlock();
+    if (waited[i] && d != w.lead) ++joined;
+  }
+
+  // Chain decision, before any waiter wakes, so the next window is in
+  // flight before the front reaches it. Joiners (or a hit inside the live
+  // range) mean a scan front is consuming this window. The front must
+  // also be AT this window (last miss within one window of it): if the
+  // front has run past on single reads, chaining would start a stale
+  // chase — windows forever behind the front, each evicting the frames
+  // the front just filled. No signal = nobody follows: release the gate
+  // and let the run detector start a fresh chain.
+  const bool consumed = ra_consumed_.exchange(false, std::memory_order_relaxed);
+  const page_id_t lm = last_miss_pid_.load(std::memory_order_relaxed);
+  const size_t ra = options_.io_scheduler.read_ahead_pages;
+  const bool near =
+      lm != kInvalidPageId && lm + ra >= w.start && lm < w.end + ra;
+  if ((joined > 0 || consumed) && near &&
+      !shutting_down_.load(std::memory_order_acquire)) {
+    (void)StartWindow(w.end, nullptr);
+  } else {
+    read_ahead_inflight_.store(false);
+  }
+
+  // Install every page nobody waits on first, then hand over the waited
+  // pages: a woken front then runs through resident pages instead of
+  // parking again on each page still being installed.
+  for (size_t i = 0; i < n; ++i) {
+    SharedPageDescriptor* d = w.pages[i];
+    if (d == nullptr || waited[i]) continue;
+    if (st.ok() && !shutting_down_.load(std::memory_order_acquire)) {
+      InstallPrefetched(d, data + i * kPageSize, seqs[i]);
+    }
+    // Settle the page; a miss that parked after the sample re-dispatches
+    // and hits the fresh copy (or leads its own read).
+    CompleteMiss(d, Status::Busy("read-ahead page settled"), nullptr, 0);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (waited[i]) CompleteMiss(w.pages[i], st, data + i * kPageSize, seqs[i]);
+  }
 }
 
-void BufferShard::PrefetchExecute(std::shared_ptr<void> claim,
-                                    page_id_t start, size_t count) {
-  std::vector<std::byte> buf(count * kPageSize);
-  std::vector<uint64_t> seqs(count, 0);
-  std::vector<char> covered(count, 0);
-  // Reinterpret: ExecutePrefetch wants bool*; vector<bool> is packed, so
-  // use a char vector and cast.
-  // Install each page from the executor's ready callback — after the
-  // device read, but before the page's flight completes — so at every
-  // instant a window page is either resident or has a joinable flight;
-  // there is no gap for a concurrent miss to duplicate the read.
-  (void)io_->ExecutePrefetch(
-      claim, buf.data(), seqs.data(), reinterpret_cast<bool*>(covered.data()),
-      [&](size_t i) {
-        InstallPrefetched(start + i, buf.data() + i * kPageSize, seqs[i]);
-      },
-      /*joined=*/nullptr,
-      // Chain decision — deliberately BEFORE the executor completes the
-      // window's flights. Threads that found their page freshly installed
-      // are already running ahead, and on one core their device busy-waits
-      // can starve the completion pass for milliseconds; deciding here
-      // keeps the next window queued before the front reaches it.
-      //
-      // Joiners (or a hit inside the live range) mean a scan front is
-      // consuming this window: claim the NEXT window in this quiet
-      // moment — the front is at the pages just installed, so the claim
-      // cannot race a miss storm — and leave its execution queued; the
-      // first thread to miss on the new window's boundary page joins the
-      // pre-existing flight and steals the queued read (see
-      // IoScheduler::ReadPage). The chain must also verify the front is
-      // actually AT this window (last miss within one window of it):
-      // if execution was delayed, the front has run past on single reads
-      // and chaining would start a stale chase — claims forever behind
-      // the front, each wasting a full window read whose installs evict
-      // the frames the front just filled. No signal = nobody follows:
-      // release the gate and let the run detector start a fresh chain.
-      [&](size_t early) {
-        const bool cons =
-            ra_consumed_.exchange(false, std::memory_order_relaxed);
-        const page_id_t lm = last_miss_pid_.load(std::memory_order_relaxed);
-        const page_id_t next = start + count;
-        const size_t ra = options_.io_scheduler.read_ahead_pages;
-        const bool near =
-            lm != kInvalidPageId && lm + ra >= start && lm < next + ra;
-        if ((early > 0 || cons) && near) {
-          (void)ClaimAndQueueWindow(next);
-        } else {
-          read_ahead_inflight_.store(false);
-        }
-      });
-}
-
-void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
-                                      uint64_t seq) {
-  SharedPageDescriptor* d = descriptors_.GetOrCreate(pid);
-  if (d == nullptr) return;
+void BufferShard::InstallPrefetched(SharedPageDescriptor* d,
+                                    const std::byte* src, uint64_t seq) {
   // Never contend with foreground work: TryLock only on the target, and at
   // most one (try-lock-based) eviction round per pool when no frame is
   // free — without it read-ahead would go dead the moment the pool warms
@@ -894,8 +890,7 @@ void BufferShard::InstallPrefetched(page_id_t pid, const std::byte* src,
   }
   [&] {
     if (d->DramResident() || d->NvmResident()) return;
-    if (io_->WriteSeq(SsdOffset(pid)) != seq) return;
-
+    if (io_->WriteSeq(SsdOffset(d->pid)) != seq) return;
     const MigrationPolicy pol = policy();
     const bool have_dram = dram_pool_ != nullptr;
     const bool have_nvm = nvm_pool_ != nullptr;

@@ -69,7 +69,8 @@ struct BufferManagerOptions {
   uint64_t bg_writer_interval_us = 200;
 
   // Async SSD I/O: all SSD-tier traffic goes through one IoScheduler
-  // (single-flight miss dedup, write coalescing, read-ahead).
+  // (deadline completions, staged and coalesced writes, the read-ahead
+  // window size).
   IoSchedulerOptions io_scheduler;
 
   // Devices. `ssd` is required and owned by the caller (it holds the
@@ -305,8 +306,8 @@ class BufferShard {
                       OptimisticRead* out);
 
   // Runs due I/O completions on the calling thread. With may_sleep, waits
-  // briefly (marking this thread async-aware: simulated device waits then
-  // sleep instead of spinning). Returns whether any work was done.
+  // briefly for the next one when nothing is due. Returns whether any
+  // work was done.
   bool PumpIo(bool may_sleep);
 
   // Materializes a zeroed, dirty page for `pid` (already allocated by the
@@ -433,16 +434,19 @@ class BufferShard {
 
   // Async miss-path internals. SubmitFetchOnDescriptor is SubmitFetch
   // minus pid resolution and the per-submission bookkeeping (write-fetch
-  // counter, read-ahead keepalive); LeadMiss kicks read-ahead and submits
-  // the device read for a descriptor this thread just marked kIoInflight;
-  // CompleteMiss is the continuation every miss read resolves through:
-  // it installs the bytes, pins the new copy for every queued waiter and
-  // fires their tickets — or re-dispatches them on transient failure.
+  // counter, read-ahead keepalive); LeadMiss submits the device read for a
+  // descriptor this thread just marked kIoInflight (or lets a read-ahead
+  // window take it along); CompleteMiss is the continuation every miss
+  // read resolves through: it installs the bytes, pins the new copy for
+  // every queued waiter and fires their tickets — or re-dispatches them on
+  // transient failure.
   FetchSubmit SubmitFetchOnDescriptor(SharedPageDescriptor* d,
                                       AccessIntent intent, FetchTicket* t);
   void LeadMiss(SharedPageDescriptor* d);
   void CompleteMiss(SharedPageDescriptor* d, Status st, const std::byte* data,
                     uint64_t seq);
+  // Takes d's waiter list and returns the descriptor to kIdle.
+  static FetchTicket* DetachWaiters(SharedPageDescriptor* d);
   static void FinishTicket(FetchTicket* t, Status st);
 
   // Installs the page image in `src` (already read from SSD) into NVM
@@ -452,22 +456,36 @@ class BufferShard {
   Result<PageGuard> InstallPinned(SharedPageDescriptor* d,
                                   const std::byte* src);
 
-  // Sequential-miss detection: after a miss on `pid`, schedule a prefetch
-  // window starting at it if the miss run looks sequential.
-  void MaybeScheduleReadAhead(page_id_t pid);
-  // Claims one prefetch window's read flights and queues its execution;
-  // requires ownership of read_ahead_inflight_, which passes to the
-  // queued execution (released on failure; returns whether a window was
-  // claimed).
-  bool ClaimAndQueueWindow(page_id_t start);
-  // Worker-side read-ahead: run the device reads for a claimed window
-  // and install the pages that arrive cleanly.
-  void PrefetchExecute(std::shared_ptr<void> claim, page_id_t start,
-                       size_t count);
-  // Installs one prefetched page image, preferring a free frame and
-  // falling back to at most one try-lock eviction round; silently drops
-  // the page on any contention or residency change.
-  void InstallPrefetched(page_id_t pid, const std::byte* src, uint64_t seq);
+  // A read-ahead window in flight: pages [start, end) of this shard, of
+  // which one device op reads the span from the first to the last page the
+  // window marked kIoInflight. pages[i] is the descriptor of the span's
+  // i-th page if the window marked it, else null (resident or already
+  // being read). `lead` is the demand miss that started the window, if it
+  // rides along (it holds that miss's admission slot).
+  struct ReadAheadWindow {
+    page_id_t start = 0, end = 0;
+    std::vector<SharedPageDescriptor*> pages;
+    SharedPageDescriptor* lead = nullptr;
+  };
+  // Sequential-miss detection: after the miss that `lead` leads, start a
+  // read-ahead window at it if the miss run looks sequential. Returns
+  // whether the window took `lead` along (its read is then the window's).
+  bool MaybeScheduleReadAhead(SharedPageDescriptor* lead);
+  // Marks the idle, non-resident pages of the window at `start` kIoInflight
+  // and submits their one device read. Requires ownership of
+  // read_ahead_inflight_, which passes to the window (released here when
+  // nothing was marked). Returns whether `lead` rides along.
+  bool StartWindow(page_id_t start, SharedPageDescriptor* lead);
+  // The window's deadline completion: decides whether to chain the next
+  // window, installs and hands over pages with parked waiters exactly as a
+  // demand miss does, and installs the others the read-ahead way.
+  void CompleteWindow(const ReadAheadWindow& w, const Status& st,
+                      const std::byte* data, const uint64_t* seqs);
+  // Installs one prefetched page image unpinned, preferring a free frame
+  // and falling back to at most one try-lock eviction round; silently
+  // drops the page on any contention or residency change.
+  void InstallPrefetched(SharedPageDescriptor* d, const std::byte* src,
+                         uint64_t seq);
 
   // Frame acquisition with eviction. Return kInvalidFrameId on failure.
   frame_id_t AcquireDramFrame();
@@ -563,7 +581,7 @@ class BufferShard {
   // Live range [ra_live_lo_, ra_next_pid_) of the chain's recent windows
   // and the consumed flag an access inside it sets: a HIT there proves a
   // scan front is following the chain even when prefetch runs far enough
-  // ahead that the front never misses (and so never joins a flight).
+  // ahead that the front never misses (and so never parks on a window).
   // Without it a perfectly-overlapped chain would look abandoned and die
   // every other window.
   std::atomic<page_id_t> ra_live_lo_{kInvalidPageId};

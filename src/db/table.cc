@@ -69,11 +69,15 @@ Result<rid_t> Table::AllocateSlot() {
   std::lock_guard<std::mutex> g(alloc_mu_);
   // Recycle deferred frees whose grace period has passed: no transaction
   // that could still traverse to the old version remains active.
-  if (!free_list_.empty() &&
-      free_list_.front().freed_at < tm_->MinActiveTs()) {
-    const rid_t rid = free_list_.front().rid;
-    free_list_.erase(free_list_.begin());
-    return rid;
+  if (!free_list_.empty()) {
+    if (free_list_.front().freed_at >= gc_watermark_) {
+      gc_watermark_ = tm_->MinActiveTs();
+    }
+    if (free_list_.front().freed_at < gc_watermark_) {
+      const rid_t rid = free_list_.front().rid;
+      free_list_.pop_front();
+      return rid;
+    }
   }
   if (pages_.empty() || bump_slot_ >= slots_per_page_) {
     auto r = bm_->NewPage(HeapPageType(opts_.table_id));

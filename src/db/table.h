@@ -1,6 +1,7 @@
 #ifndef SPITFIRE_DB_TABLE_H_
 #define SPITFIRE_DB_TABLE_H_
 
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -174,7 +175,11 @@ class Table {
     rid_t rid;
     timestamp_t freed_at;
   };
-  std::vector<DeferredFree> free_list_;
+  std::deque<DeferredFree> free_list_;  // FIFO, oldest free first
+  // The last MinActiveTs() seen by AllocateSlot. A returned watermark stays
+  // a lower bound on every later active timestamp, so while it clears the
+  // front entry the 4096-slot scan is skipped.
+  timestamp_t gc_watermark_ = 0;
 };
 
 }  // namespace spitfire

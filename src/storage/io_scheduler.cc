@@ -9,46 +9,25 @@
 namespace spitfire {
 
 namespace {
-// Threads that pump completions with may_sleep=true (the async workload
-// ring, the completion worker) are async-aware: device waits they execute
-// sleep out their deadlines, yielding the core to useful work. Blocking
-// threads keep the spin-wait so the synchronous path's CPU accounting is
-// unchanged.
-thread_local bool t_async_aware = false;
+// Backpressure bound on staged-but-unwritten pages (16 KB each).
+constexpr size_t kMaxPendingWrites = 128;
 }  // namespace
 
 IoScheduler::IoScheduler(Device* ssd, const IoSchedulerOptions& opts)
-    : ssd_(ssd), opts_(opts), async_(ssd != nullptr && ssd->SupportsAsyncIo()) {
-  SPITFIRE_CHECK(ssd_ != nullptr);
-  if (opts_.num_workers == 0) opts_.num_workers = 1;
+    : ssd_(ssd), opts_(opts) {
+  SPITFIRE_CHECK(ssd_ != nullptr && ssd_->SupportsAsyncIo());
   if (opts_.max_coalesce_pages == 0) opts_.max_coalesce_pages = 1;
-  if (opts_.max_pending_writes == 0) opts_.max_pending_writes = 1;
-  workers_.reserve(opts_.num_workers);
-  for (size_t i = 0; i < opts_.num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  if (async_) {
-    completion_worker_ = std::thread([this] { CompletionWorkerLoop(); });
-  }
+  writer_ = std::thread([this] { WriterLoop(); });
+  completion_worker_ = std::thread([this] { CompletionWorkerLoop(); });
 }
 
 IoScheduler::~IoScheduler() { Shutdown(); }
-
-void IoScheduler::MaybeEraseLocked(Shard& s, uint64_t offset) {
-  auto it = s.table.find(offset);
-  if (it == s.table.end()) return;
-  const Entry& e = it->second;
-  if (e.read == nullptr && e.write == nullptr && e.write_seq == 0) {
-    s.table.erase(it);
-  }
-}
 
 void IoScheduler::ScheduleAt(uint64_t deadline_ns, std::function<void()> fn,
                              bool is_write) {
   if (deadline_ns <= NowNanos()) {
     // Already due (scale 0, or the queue model admitted instantly): run
     // inline. Callers hold no scheduler locks here.
-    stats_.completions_run.fetch_add(1, std::memory_order_relaxed);
     fn();
     return;
   }
@@ -60,7 +39,7 @@ void IoScheduler::ScheduleAt(uint64_t deadline_ns, std::function<void()> fn,
   comp_cv_.notify_all();
 }
 
-bool IoScheduler::PumpDue() {
+bool IoScheduler::PumpDue(bool writes_only) {
   // Entry-time semantics: run the completions due NOW, not until the heap
   // drains. A completion can submit follow-up I/O (a failed install
   // re-dispatches its waiters, which lead a fresh read) whose deadline
@@ -77,82 +56,18 @@ bool IoScheduler::PumpDue() {
       CompletionHeap* heap = nullptr;
       if (!wcomps_.empty() && wcomps_.top().deadline <= now) {
         heap = &wcomps_;
-      } else if (!comps_.empty() && comps_.top().deadline <= now) {
+      } else if (!writes_only && !comps_.empty() &&
+                 comps_.top().deadline <= now) {
         heap = &comps_;
       }
       if (heap == nullptr) break;
       fn = std::move(const_cast<Completion&>(heap->top()).fn);
       heap->pop();
     }
-    stats_.completions_run.fetch_add(1, std::memory_order_relaxed);
     fn();
     any = true;
   }
   return any;
-}
-
-bool IoScheduler::PumpDueWrites() {
-  const uint64_t now = NowNanos();  // entry-time batch, see PumpDue
-  bool any = false;
-  for (;;) {
-    std::function<void()> fn;
-    {
-      std::lock_guard<std::mutex> cl(comp_mu_);
-      if (wcomps_.empty() || wcomps_.top().deadline > now) break;
-      fn = std::move(const_cast<Completion&>(wcomps_.top()).fn);
-      wcomps_.pop();
-    }
-    stats_.completions_run.fetch_add(1, std::memory_order_relaxed);
-    fn();
-    any = true;
-  }
-  return any;
-}
-
-void IoScheduler::WaitUntilDeadline(uint64_t deadline_ns) {
-  for (;;) {
-    const uint64_t now = NowNanos();
-    if (now >= deadline_ns) return;
-    // Keep other requests' completions flowing while this one is in
-    // flight — that is what keeps N queues busy from one thread.
-    if (PumpDue()) continue;
-    const uint64_t remaining = deadline_ns - now;
-    if (t_async_aware && remaining > 5'000) {
-      std::unique_lock<std::mutex> cl(comp_mu_);
-      comp_sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      comp_cv_.wait_for(cl, std::chrono::nanoseconds(std::min<uint64_t>(
-                                remaining, 200'000)));
-      comp_sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    } else {
-      SpinWaitNanos(std::min<uint64_t>(remaining, 2'000));
-    }
-  }
-}
-
-void IoScheduler::CompleteFlight(uint64_t offset,
-                                 std::shared_ptr<ReadFlight> f, Status st) {
-  Shard& s = ShardFor(offset);
-  std::vector<ReadCallback> cbs;
-  {
-    std::lock_guard<std::mutex> l(s.mu);
-    Entry& e = s.table[offset];
-    f->status = st;
-    f->stale = (e.write_seq != f->seq);
-    f->done = true;
-    cbs.swap(f->callbacks);
-    if (e.read == f) e.read.reset();
-    MaybeEraseLocked(s, offset);
-  }
-  s.cv.notify_all();
-  if (f->stale) {
-    stats_.stale_read_retries.fetch_add(cbs.size(), std::memory_order_relaxed);
-  }
-  const Status cb_st =
-      f->stale ? Status::Busy("read superseded by concurrent write") : st;
-  for (ReadCallback& cb : cbs) {
-    cb(cb_st, f->buf, f->seq);
-  }
-  SignalCompletions();
 }
 
 void IoScheduler::SignalCompletions() {
@@ -181,7 +96,6 @@ void IoScheduler::WaitForCompletion(uint64_t observed_epoch,
 }
 
 void IoScheduler::CompletionWorkerLoop() {
-  t_async_aware = true;
   std::unique_lock<std::mutex> cl(comp_mu_);
   for (;;) {
     if (comps_.empty() && wcomps_.empty()) {
@@ -209,70 +123,70 @@ void IoScheduler::CompletionWorkerLoop() {
     std::function<void()> fn = std::move(const_cast<Completion&>(heap.top()).fn);
     heap.pop();
     cl.unlock();
-    stats_.completions_run.fetch_add(1, std::memory_order_relaxed);
     fn();
     cl.lock();
   }
 }
 
-IoScheduler::SubmitKind IoScheduler::SubmitRead(uint64_t offset,
-                                                ReadCallback cb) {
-  Shard& s = ShardFor(offset);
-  std::unique_lock<std::mutex> l(s.mu);
-  Entry& e = s.table[offset];
-  if (e.write != nullptr) {
-    // A staged (not yet device-durable) write holds the freshest bytes.
-    // Copy to a thread-local scratch so the callback runs without the
-    // shard lock (it may take buffer-manager latches).
-    thread_local std::unique_ptr<std::byte[]> scratch;
-    if (!scratch) scratch = std::make_unique<std::byte[]>(kPageSize);
-    std::memcpy(scratch.get(), e.write->buf.get(), kPageSize);
-    const uint64_t seq = e.write_seq;
-    l.unlock();
-    stats_.reads_from_staged.fetch_add(1, std::memory_order_relaxed);
-    cb(Status::OK(), scratch.get(), seq);
-    return SubmitKind::kInline;
-  }
-  if (e.read != nullptr) {
-    // Single-flight: ride the in-flight read (a SubmitRead leader's or a
-    // prefetch claim's) instead of duplicating it.
-    e.read->callbacks.push_back(std::move(cb));
-    stats_.reads_deduped.fetch_add(1, std::memory_order_relaxed);
-    return SubmitKind::kJoined;
-  }
-  // Leader: register the flight, then submit without the shard lock so
-  // joiners can attach (and writers can supersede) during the I/O.
-  auto f = std::make_shared<ReadFlight>();
-  f->seq = e.write_seq;
-  f->callbacks.push_back(std::move(cb));
-  e.read = f;
-  l.unlock();
-  stats_.async_submits.fetch_add(1, std::memory_order_relaxed);
-  stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
-  if (async_) {
-    uint64_t deadline = 0;
-    const Status st = ssd_->BeginRead(offset, f->buf, kPageSize, &deadline);
-    if (!st.ok()) {
-      CompleteFlight(offset, std::move(f), st);
-    } else {
-      ScheduleAt(deadline,
-                 [this, offset, f] { CompleteFlight(offset, f, Status::OK()); },
-                 /*is_write=*/false);
+void IoScheduler::SubmitRead(uint64_t offset, size_t n, ReadCallback cb) {
+  // The op's buffer and per-page sequences live until its completion.
+  struct ReadOp {
+    std::unique_ptr<std::byte[]> buf;
+    std::vector<uint64_t> seqs;
+    ReadCallback cb;
+  };
+  auto op = std::make_shared<ReadOp>();
+  op->buf.reset(new std::byte[n * kPageSize]);
+  op->seqs.assign(n, 0);
+  op->cb = std::move(cb);
+
+  // Sample every page's write sequence BEFORE the device read: bytes read
+  // later are at least that new, and an install that re-validates the
+  // sequence rejects them if a write staged meanwhile. A page whose write
+  // is still staged has older bytes on the device; its staged image is
+  // copied aside here and laid over the device bytes below.
+  std::vector<size_t> staged;
+  std::vector<std::byte> images;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t off = offset + i * kPageSize;
+    Shard& s = ShardFor(off);
+    std::lock_guard<std::mutex> l(s.mu);
+    auto it = s.table.find(off);
+    if (it == s.table.end()) continue;  // never written: sequence 0
+    op->seqs[i] = it->second.write_seq;
+    if (it->second.write != nullptr) {
+      const std::byte* img = it->second.write->buf.get();
+      staged.push_back(i);
+      images.insert(images.end(), img, img + kPageSize);
     }
-  } else {
-    // Blocking device: the read happens here (charging the latency to this
-    // thread, like the synchronous path) and completes inline.
-    const Status st = ssd_->Read(offset, f->buf, kPageSize);
-    CompleteFlight(offset, std::move(f), st);
   }
-  return SubmitKind::kLeader;
+  if (!staged.empty()) {
+    stats_.reads_from_staged.fetch_add(staged.size(),
+                                       std::memory_order_relaxed);
+  }
+
+  uint64_t deadline = 0;
+  Status st;
+  if (staged.size() < n) {
+    // The simulated device transfers eagerly; the deadline models latency.
+    st = ssd_->BeginRead(offset, op->buf.get(), n * kPageSize, &deadline);
+    stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
+  }
+  for (size_t k = 0; k < staged.size(); ++k) {
+    std::memcpy(op->buf.get() + staged[k] * kPageSize,
+                images.data() + k * kPageSize, kPageSize);
+  }
+  ScheduleAt(st.ok() ? deadline : 0,
+             [this, op, st] {
+               op->cb(st, op->buf.get(), op->seqs.data());
+               SignalCompletions();
+             },
+             /*is_write=*/false);
 }
 
 bool IoScheduler::PumpCompletions(bool may_sleep) {
-  if (may_sleep) t_async_aware = true;
-  bool ran = TryRunPendingTask();
-  if (PumpDue()) ran = true;
-  if (ran || !may_sleep) return ran;
+  if (PumpDue(/*writes_only=*/false)) return true;
+  if (!may_sleep) return false;
   std::unique_lock<std::mutex> cl(comp_mu_);
   uint64_t next = UINT64_MAX;
   if (!comps_.empty()) next = comps_.top().deadline;
@@ -280,7 +194,7 @@ bool IoScheduler::PumpCompletions(bool may_sleep) {
   const uint64_t now = NowNanos();
   if (next <= now) {
     cl.unlock();
-    return PumpDue();
+    return PumpDue(/*writes_only=*/false);
   }
   const uint64_t cap = 200'000;  // notifications cut this short
   comp_sleepers_.fetch_add(1, std::memory_order_seq_cst);
@@ -289,278 +203,22 @@ bool IoScheduler::PumpCompletions(bool may_sleep) {
                                                : std::min(next - now, cap)));
   comp_sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   cl.unlock();
-  return PumpDue();
-}
-
-Status IoScheduler::ReadPage(uint64_t offset, std::byte* dst,
-                             uint64_t* out_seq) {
-  Shard& s = ShardFor(offset);
-  bool tried_steal = false;
-  std::unique_lock<std::mutex> l(s.mu);
-  for (;;) {
-    Entry& e = s.table[offset];
-    if (e.write != nullptr) {
-      // A staged (not yet device-durable) write holds the freshest bytes.
-      std::memcpy(dst, e.write->buf.get(), kPageSize);
-      if (out_seq != nullptr) *out_seq = e.write_seq;
-      stats_.reads_from_staged.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    if (e.read != nullptr) {
-      // Single-flight: join the in-flight read instead of duplicating it.
-      std::shared_ptr<ReadFlight> f = e.read;
-      ++f->joiners;
-      stats_.reads_deduped.fetch_add(1, std::memory_order_relaxed);
-      // The flight may belong to a claimed prefetch window whose
-      // execution is queued but not yet running (the claimer can be
-      // descheduled between registering the claim and submitting the
-      // task, and the worker never races the submitter for the core); run
-      // it inline instead of sleeping on work nobody is executing. The
-      // timed re-check matters: if the task was submitted AFTER our first
-      // steal attempt found the queue empty, a plain wait would sleep
-      // until some other thread ran it — with every peer parked on the
-      // same window, that is a multi-millisecond stall.
-      while (!f->done) {
-        l.unlock();
-        TryRunPendingTask();
-        l.lock();
-        if (f->done) break;
-        s.cv.wait_for(l, std::chrono::microseconds(100),
-                      [&] { return f->done; });
-      }
-      if (f->stale) {
-        // A write landed mid-flight; re-resolve (it is staged or queued).
-        stats_.stale_read_retries.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (!f->status.ok()) return f->status;
-      std::memcpy(dst, f->buf, kPageSize);
-      if (out_seq != nullptr) *out_seq = f->seq;
-      return Status::OK();
-    }
-    if (!tried_steal) {
-      // Before leading a single-page read, drain one queued prefetch task
-      // (if any): a pending window may cover this offset, and on the
-      // synchronous simulated device running it here both avoids a
-      // duplicate read and keeps the window one coalesced op. The entry
-      // reference is stale after the relock either way, so loop.
-      tried_steal = true;
-      l.unlock();
-      TryRunPendingTask();
-      l.lock();
-      continue;
-    }
-    // Leader: register the flight, then run the device read without the
-    // shard lock so joiners can attach (and writers can supersede).
-    auto f = std::make_shared<ReadFlight>();
-    f->seq = e.write_seq;
-    e.read = f;
-    l.unlock();
-    const Status st = ssd_->Read(offset, dst, kPageSize);
-    stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
-    l.lock();
-    std::vector<ReadCallback> cbs;
-    {
-      // The map may have rehashed while unlocked; re-resolve the entry.
-      Entry& e2 = s.table[offset];
-      f->status = st;
-      f->stale = (e2.write_seq != f->seq);
-      // Joiners registered before this relock; none can attach after the
-      // flight is unlinked below, so the copy is skipped when uncontended.
-      if ((f->joiners > 0 || !f->callbacks.empty()) && st.ok() && !f->stale) {
-        std::memcpy(f->buf, dst, kPageSize);
-      }
-      f->done = true;
-      cbs.swap(f->callbacks);
-      if (e2.read == f) e2.read.reset();
-    }
-    MaybeEraseLocked(s, offset);
-    s.cv.notify_all();
-    if (!cbs.empty()) {
-      // Async joiners that attached to this blocking-led flight.
-      l.unlock();
-      if (f->stale) {
-        stats_.stale_read_retries.fetch_add(cbs.size(),
-                                            std::memory_order_relaxed);
-      }
-      const Status cb_st =
-          f->stale ? Status::Busy("read superseded by concurrent write") : st;
-      for (ReadCallback& cb : cbs) cb(cb_st, f->buf, f->seq);
-      SignalCompletions();
-      l.lock();
-    }
-    if (f->stale) {
-      stats_.stale_read_retries.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!st.ok()) return st;
-    if (out_seq != nullptr) *out_seq = f->seq;
-    return Status::OK();
-  }
-}
-
-std::shared_ptr<void> IoScheduler::ClaimPrefetch(uint64_t offset, size_t n) {
-  auto rec = std::make_shared<PrefetchClaimRec>();
-  rec->offset = offset;
-  rec->n = n;
-  rec->flights.resize(n);
-  size_t owned = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t off = offset + i * kPageSize;
-    Shard& s = ShardFor(off);
-    std::lock_guard<std::mutex> l(s.mu);
-    Entry& e = s.table[off];
-    // Pages with a staged write or an in-flight read stay with their
-    // current owner.
-    if (e.write != nullptr || e.read != nullptr) continue;
-    auto f = std::make_shared<ReadFlight>();
-    f->seq = e.write_seq;
-    e.read = f;
-    rec->flights[i] = std::move(f);
-    ++owned;
-  }
-  if (owned == 0) return nullptr;
-  return rec;
-}
-
-Status IoScheduler::ExecutePrefetch(const std::shared_ptr<void>& claim,
-                                    std::byte* dst, uint64_t* seqs,
-                                    bool* covered,
-                                    const std::function<void(size_t)>& ready,
-                                    size_t* joined,
-                                    const std::function<void(size_t)>& installed) {
-  auto* rec = static_cast<PrefetchClaimRec*>(claim.get());
-  const uint64_t offset = rec->offset;
-  const size_t n = rec->n;
-  for (size_t i = 0; i < n; ++i) covered[i] = false;
-  size_t total_joiners = 0;
-  size_t early_joiners = 0;
-  bool installed_fired = false;
-
-  // One device op per maximal contiguous run of owned pages.
-  Status result = Status::OK();
-  size_t i = 0;
-  while (i < n) {
-    if (rec->flights[i] == nullptr) {
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < n && rec->flights[j] != nullptr) ++j;
-    Status st;
-    if (async_) {
-      // Admit the run into the device's queue model and wait out its
-      // deadline here, pumping other completions meanwhile: a second
-      // window can be in flight on another queue while this one drains.
-      // Async-aware threads sleep the wait; blocking threads spin (the
-      // synchronous CPU accounting).
-      uint64_t deadline = 0;
-      st = ssd_->BeginRead(offset + i * kPageSize, dst + i * kPageSize,
-                           (j - i) * kPageSize, &deadline);
-      if (st.ok()) WaitUntilDeadline(deadline);
-    } else {
-      st = ssd_->Read(offset + i * kPageSize, dst + i * kPageSize,
-                      (j - i) * kPageSize);
-    }
-    stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) result = st;
-    // Three passes over the run, in a strict order: validate every page,
-    // install every page, and only then complete the flights.
-    //
-    //  - Installing before completing means a window page is at every
-    //    instant either resident or joinable: completing first would
-    //    erase the page's single-flight entry while its bytes are still
-    //    unpublished, and a miss in that gap would duplicate the read.
-    //  - Completing the whole run as one batch (rather than per page)
-    //    means each joiner wakes exactly once, to a fully-published run.
-    //    Waking per page lets early joiners outrun the install loop and
-    //    re-sleep on the next page, turning one window into dozens of
-    //    context-switch round trips.
-    for (size_t k = i; k < j; ++k) {
-      const uint64_t off = offset + k * kPageSize;
-      Shard& s = ShardFor(off);
-      std::shared_ptr<ReadFlight>& f = rec->flights[k];
-      std::lock_guard<std::mutex> l(s.mu);
-      Entry& e = s.table[off];
-      f->status = st;
-      f->stale = (e.write_seq != f->seq);
-      if (st.ok() && !f->stale) {
-        seqs[k] = f->seq;
-        covered[k] = true;
-      }
-      early_joiners += static_cast<size_t>(f->joiners);
-    }
-    if (ready) {
-      for (size_t k = i; k < j; ++k) {
-        // Outside the shard lock; the install re-validates WriteSeq.
-        if (covered[k]) ready(k);
-      }
-    }
-    if (installed && !installed_fired) {
-      installed_fired = true;
-      installed(early_joiners);
-    }
-    for (size_t k = i; k < j; ++k) {
-      const uint64_t off = offset + k * kPageSize;
-      Shard& s = ShardFor(off);
-      std::shared_ptr<ReadFlight>& f = rec->flights[k];
-      std::vector<ReadCallback> cbs;
-      {
-        std::lock_guard<std::mutex> l(s.mu);
-        Entry& e = s.table[off];
-        // A write may have staged while the installs ran: re-check, so a
-        // joiner retries rather than consuming superseded bytes. (The
-        // install path re-validates against WriteSeq on its own.)
-        f->stale = (e.write_seq != f->seq);
-        total_joiners += static_cast<size_t>(f->joiners) + f->callbacks.size();
-        if ((f->joiners > 0 || !f->callbacks.empty()) && covered[k] &&
-            !f->stale) {
-          // Waiters that joined this flight copy from its buffer.
-          std::memcpy(f->buf, dst + k * kPageSize, kPageSize);
-        }
-        f->done = true;
-        cbs.swap(f->callbacks);
-        if (e.read == f) e.read.reset();
-        MaybeEraseLocked(s, off);
-      }
-      s.cv.notify_all();
-      if (!cbs.empty()) {
-        // Async misses that joined this window's flights.
-        const bool bad = !covered[k] || f->stale;
-        if (f->stale) {
-          stats_.stale_read_retries.fetch_add(cbs.size(),
-                                              std::memory_order_relaxed);
-        }
-        const Status cb_st =
-            bad ? (f->status.ok()
-                       ? Status::Busy("read superseded by concurrent write")
-                       : f->status)
-                : Status::OK();
-        for (ReadCallback& cb : cbs) cb(cb_st, f->buf, f->seq);
-      }
-    }
-    i = j;
-  }
-  if (joined != nullptr) *joined = total_joiners;
-  // Wake sleeping pumpers and waiters: installed window pages may unblock
-  // their rings or complete a joined fetch.
-  SignalCompletions();
-  return result;
+  return PumpDue(/*writes_only=*/false);
 }
 
 Status IoScheduler::WritePage(uint64_t offset, const std::byte* src) {
   {
     // Backpressure before touching the shard, so a blocked writer never
-    // holds a lock a worker needs to make progress. The wait pumps due
-    // write completions: this thread may itself be inside a read-flight
+    // holds a lock the writer thread needs to make progress. The wait
+    // pumps due write completions: this thread may itself be inside a read
     // completion (install -> evict -> write), in which case nobody else is
     // guaranteed to retire the writes it is waiting on.
     std::unique_lock<std::mutex> ql(q_mu_);
-    while (!(pending_writes_ < opts_.max_pending_writes || stop_)) {
+    while (!(pending_writes_ < kMaxPendingWrites || stop_)) {
       ql.unlock();
-      PumpDueWrites();
+      PumpDue(/*writes_only=*/true);
       ql.lock();
-      if (pending_writes_ < opts_.max_pending_writes || stop_) break;
+      if (pending_writes_ < kMaxPendingWrites || stop_) break;
       q_cv_.wait_for(ql, std::chrono::microseconds(200));
     }
     if (stop_) return Status::IoError("io scheduler stopped");
@@ -577,7 +235,7 @@ Status IoScheduler::WritePage(uint64_t offset, const std::byte* src) {
       // the backpressure wait above: the clearing completion may be ours
       // to run.
       l.unlock();
-      PumpDueWrites();
+      PumpDue(/*writes_only=*/true);
       l.lock();
       e = &s.table[offset];
       if (!(e->write != nullptr && e->write->issuing)) break;
@@ -623,7 +281,7 @@ Status IoScheduler::Drain() {
     // as drained once their deadline passes, and this thread may be the
     // one that has to run those completions.
     ql.unlock();
-    PumpDueWrites();
+    PumpDue(/*writes_only=*/true);
     ql.lock();
     if (pending_writes_ == 0) break;
     q_cv_.wait_for(ql, std::chrono::microseconds(200));
@@ -634,42 +292,17 @@ Status IoScheduler::Drain() {
   return st;
 }
 
-bool IoScheduler::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> ql(q_mu_);
-    if (stop_) return false;
-    tasks_.push_back(std::move(task));
-  }
-  q_cv_.notify_all();
-  return true;
-}
-
-bool IoScheduler::TryRunPendingTask() {
-  std::function<void()> t;
-  {
-    std::lock_guard<std::mutex> ql(q_mu_);
-    if (tasks_.empty()) return false;
-    t = std::move(tasks_.front());
-    tasks_.pop_front();
-  }
-  t();
-  return true;
-}
-
 void IoScheduler::Shutdown() {
   {
     std::lock_guard<std::mutex> ql(q_mu_);
-    if (stop_ && workers_.empty() && !completion_worker_.joinable()) return;
+    if (stop_ && !writer_.joinable() && !completion_worker_.joinable()) return;
     stop_ = true;
   }
   q_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-  workers_.clear();
-  // Write workers are gone (their shutdown drain may have scheduled more
+  if (writer_.joinable()) writer_.join();
+  // The writer is gone (its shutdown drain may have scheduled more
   // completions); now let the completion worker fire everything still in
-  // the heaps — early, but exactly once — so no flight or staged write is
+  // the heaps — early, but exactly once — so no read or staged write is
   // left unresolved, then join it.
   {
     std::lock_guard<std::mutex> cl(comp_mu_);
@@ -679,29 +312,12 @@ void IoScheduler::Shutdown() {
   if (completion_worker_.joinable()) completion_worker_.join();
 }
 
-void IoScheduler::WorkerLoop() {
+void IoScheduler::WriterLoop() {
   std::vector<std::byte> scratch(opts_.max_coalesce_pages * kPageSize);
   std::unique_lock<std::mutex> ql(q_mu_);
   for (;;) {
     q_cv_.wait(ql, [&] { return stop_ || !write_queue_.empty(); });
-    if (write_queue_.empty()) {
-      if (stop_) {
-        // Queued prefetch tasks normally run on the thread that first
-        // waits for one of their pages (TryRunPendingTask): waking a
-        // worker for them would make its simulated device spin compete
-        // with the submitter for the core. Any still pending at shutdown
-        // must run here, though — their claims have flights to complete.
-        while (!tasks_.empty()) {
-          std::function<void()> t = std::move(tasks_.front());
-          tasks_.pop_front();
-          ql.unlock();
-          t();
-          ql.lock();
-        }
-        return;
-      }
-      continue;
-    }
+    if (write_queue_.empty()) return;  // stopping, nothing left to write
     if (write_queue_.size() < opts_.max_coalesce_pages && !stop_ &&
         drain_waiters_ == 0 && opts_.coalesce_window_us > 0) {
       // Linger briefly so an eviction burst coalesces into fewer ops.
@@ -717,17 +333,16 @@ void IoScheduler::WorkerLoop() {
       write_queue_.pop_front();
     }
     ql.unlock();
-    // ProcessBatch owns retirement: synchronously after the device write,
-    // or at the completion deadline on the async path — where this loop
-    // immediately picks up the next batch, keeping further queues full
-    // instead of spinning out one write at a time.
-    (void)ProcessBatch(&batch, scratch.data());
+    // Retirement happens at each run's completion deadline, so this loop
+    // picks up the next batch at once, keeping further queues full
+    // instead of writing one batch at a time.
+    ProcessBatch(&batch, scratch.data());
     ql.lock();
   }
 }
 
-Status IoScheduler::ProcessBatch(std::vector<QueueItem>* batch,
-                                 std::byte* scratch) {
+void IoScheduler::ProcessBatch(std::vector<QueueItem>* batch,
+                               std::byte* scratch) {
   std::sort(batch->begin(), batch->end(),
             [](const QueueItem& a, const QueueItem& b) {
               return a.offset < b.offset;
@@ -740,7 +355,6 @@ Status IoScheduler::ProcessBatch(std::vector<QueueItem>* batch,
     std::lock_guard<std::mutex> l(s.mu);
     item.w->issuing = true;
   }
-  Status result = Status::OK();
   size_t i = 0;
   while (i < batch->size()) {
     size_t j = i + 1;
@@ -761,31 +375,20 @@ Status IoScheduler::ProcessBatch(std::vector<QueueItem>* batch,
       stats_.writes_coalesced.fetch_add(run - 1, std::memory_order_relaxed);
     }
     stats_.write_ops.fetch_add(1, std::memory_order_relaxed);
-    if (async_) {
-      // Submit and defer retirement to the completion deadline. BeginWrite
-      // copies the bytes out eagerly, so `scratch` is reusable immediately
-      // and the staged images stay frozen (issuing) until retirement.
-      uint64_t deadline = 0;
-      const Status st = ssd_->BeginWrite((*batch)[i].offset, data,
-                                         run * kPageSize, &deadline);
-      if (!st.ok()) result = st;
-      auto items = std::make_shared<std::vector<QueueItem>>(
-          batch->begin() + static_cast<ptrdiff_t>(i),
-          batch->begin() + static_cast<ptrdiff_t>(j));
-      ScheduleAt(st.ok() ? deadline : 0,
-                 [this, items, st] { RetireWrites(*items, st); },
-                 /*is_write=*/true);
-    } else {
-      const Status st =
-          ssd_->Write((*batch)[i].offset, data, run * kPageSize);
-      if (!st.ok()) result = st;
-      std::vector<QueueItem> items(batch->begin() + static_cast<ptrdiff_t>(i),
-                                   batch->begin() + static_cast<ptrdiff_t>(j));
-      RetireWrites(items, st);
-    }
+    // Submit and defer retirement to the completion deadline. BeginWrite
+    // copies the bytes out eagerly, so `scratch` is reusable immediately
+    // and the staged images stay frozen (issuing) until retirement.
+    uint64_t deadline = 0;
+    const Status st = ssd_->BeginWrite((*batch)[i].offset, data,
+                                       run * kPageSize, &deadline);
+    auto items = std::make_shared<std::vector<QueueItem>>(
+        batch->begin() + static_cast<ptrdiff_t>(i),
+        batch->begin() + static_cast<ptrdiff_t>(j));
+    ScheduleAt(st.ok() ? deadline : 0,
+               [this, items, st] { RetireWrites(*items, st); },
+               /*is_write=*/true);
     i = j;
   }
-  return result;
 }
 
 void IoScheduler::RetireWrites(const std::vector<QueueItem>& items,

@@ -59,6 +59,29 @@ class IoSchedulerTest : public ::testing::Test {
     return true;
   }
 
+  // Reads one page through SubmitRead, pumping completions until its
+  // callback fires (it may run on the completion worker); returns the
+  // callback's status.
+  static Status ReadVia(IoScheduler& io, uint64_t offset, std::byte* dst,
+                        uint64_t* seq) {
+    std::atomic<bool> done{false};
+    Status st;
+    io.SubmitRead(offset, 1,
+                  [&](const Status& s, const std::byte* data,
+                      const uint64_t* seqs) {
+                    st = s;
+                    if (s.ok()) {
+                      std::memcpy(dst, data, kPageSize);
+                      *seq = seqs[0];
+                    }
+                    done.store(true, std::memory_order_release);
+                  });
+    while (!done.load(std::memory_order_acquire)) {
+      io.PumpCompletions(/*may_sleep=*/false);
+    }
+    return st;
+  }
+
   std::unique_ptr<SsdDevice> ssd_;
 };
 
@@ -119,7 +142,7 @@ TEST_F(IoSchedulerTest, ReadOfStagedWriteSeesNewBytesBeforeDeviceWrite) {
   // staged image, with the matching sequence.
   std::vector<std::byte> got(kPageSize);
   uint64_t seq = 0;
-  ASSERT_TRUE(io.ReadPage(0, got.data(), &seq).ok());
+  ASSERT_TRUE(ReadVia(io, 0, got.data(), &seq).ok());
   EXPECT_EQ(ssd_->stats().num_writes.load(), 0u);
   EXPECT_EQ(ssd_->stats().num_reads.load(), 0u);
   EXPECT_EQ(seq, io.WriteSeq(0));
@@ -187,7 +210,6 @@ TEST_F(IoSchedulerTest, LastWriterWinsWhileQueued) {
 // `sync` label.
 TEST_F(IoSchedulerTest, ConcurrentReadWriteStressNoTornPages) {
   IoSchedulerOptions opts;
-  opts.num_workers = 2;
   opts.coalesce_window_us = 10;
   IoScheduler io(ssd_.get(), opts);
 
@@ -215,7 +237,7 @@ TEST_F(IoSchedulerTest, ConcurrentReadWriteStressNoTornPages) {
     int i = 0;
     while (!stop.load()) {
       ASSERT_TRUE(
-          io.ReadPage((i++ % kOffsets) * kPageSize, page.data(), &seq).ok());
+          ReadVia(io, (i++ % kOffsets) * kPageSize, page.data(), &seq).ok());
       ASSERT_TRUE(IsUniform(page.data()));
     }
   });
@@ -270,6 +292,80 @@ TEST_F(IoSchedulerTest, SequentialMissesTriggerReadAhead) {
   ASSERT_TRUE(g.ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
   EXPECT_EQ(v, Stamp(2));
   EXPECT_EQ(ssd_->stats().num_reads.load(), reads_before);
+}
+
+// A demand fetch of a page inside a read-ahead window that is still in
+// flight parks on the page's descriptor (the window marked it kIoInflight)
+// and costs no device read of its own: the window's one op serves both.
+TEST_F(IoSchedulerTest, DemandMissInsideWindowParksOnDescriptor) {
+  SeedColdPages(5);
+  BufferManagerOptions opt;
+  opt.dram_frames = 16;
+  opt.nvm_frames = 0;
+  opt.policy = MigrationPolicy::Eager();
+  opt.ssd = ssd_.get();
+  opt.io_scheduler.read_ahead_pages = 4;
+  BufferManager bm(opt);
+  bm.SetNextPageId(5);  // the window 1..4 ends at the horizon: no chain
+
+  ASSERT_TRUE(bm.FetchPage(0, AccessIntent::kRead).ok());
+  const uint64_t reads_before = ssd_->stats().num_reads.load();
+
+  // ~24 ms per read: page 3 misses while the window is in flight.
+  LatencySimulator::SetScale(2000.0);
+  FetchTicket t;  // the second sequential miss arms the window 1..4
+  ASSERT_EQ(bm.SubmitFetch(1, AccessIntent::kRead, &t),
+            FetchSubmit::kQueuedLeader);
+  auto r = bm.FetchPage(3, AccessIntent::kRead);
+  while (!t.ready.load(std::memory_order_acquire)) {
+    bm.PumpIo(/*may_sleep=*/false);
+  }
+  LatencySimulator::SetScale(0.0);
+
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(t.status.ok()) << t.status.ToString();
+  uint64_t v = 0;
+  ASSERT_TRUE(r.value().ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
+  EXPECT_EQ(v, Stamp(3));
+  ASSERT_TRUE(t.guard.ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
+  EXPECT_EQ(v, Stamp(1));
+  EXPECT_GE(bm.stats().Snapshot().miss_joins, 1u);
+  EXPECT_EQ(ssd_->stats().num_reads.load(), reads_before + 1);
+}
+
+// A window covering a page whose newer image is still staged (not yet on
+// the device) must install the staged bytes or leave the page out — never
+// the device's older image.
+TEST_F(IoSchedulerTest, ReadAheadWindowNeverInstallsImageOlderThanStaged) {
+  SeedColdPages(8);
+  BufferManagerOptions opt;
+  opt.dram_frames = 16;
+  opt.nvm_frames = 0;
+  opt.policy = MigrationPolicy::Eager();
+  opt.ssd = ssd_.get();
+  opt.io_scheduler.read_ahead_pages = 4;
+  opt.io_scheduler.coalesce_window_us = 1000 * 1000;  // park staged writes
+  BufferManager bm(opt);
+  bm.SetNextPageId(8);
+
+  std::vector<std::byte> page(kPageSize);
+  PageView(page.data()).Format(3, /*page_type=*/0);
+  const uint64_t fresh = Stamp(3) ^ 0xFFFFu;
+  std::memcpy(page.data() + kPageHeaderSize, &fresh, sizeof(fresh));
+  ASSERT_TRUE(bm.io_scheduler()->WritePage(3 * kPageSize, page.data()).ok());
+
+  // Two sequential misses arm a window over pages 1..4.
+  for (page_id_t pid = 0; pid < 2; ++pid) {
+    ASSERT_TRUE(bm.FetchPage(pid, AccessIntent::kRead).ok());
+  }
+  EXPECT_GE(bm.stats().Snapshot().read_ahead_installs, 1u);
+  EXPECT_EQ(ssd_->stats().num_writes.load(), 0u);  // still staged
+
+  auto r = bm.FetchPage(3, AccessIntent::kRead);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  uint64_t v = 0;
+  ASSERT_TRUE(r.value().ReadAt(kPageHeaderSize, sizeof(v), &v).ok());
+  EXPECT_EQ(v, fresh);
 }
 
 // --- Asynchronous miss path: descriptor state machine ----------------------
